@@ -372,13 +372,26 @@ def transform(
     whole :class:`TransformResult` (analysis, topology, resync plan).
     Extra keyword options (``benign_detection``, ``order_edges``,
     ``fix_categories``, ``analysis``) pass through to the transformation.
+
+    A path to a segmented file is loaded straight into its columnar core
+    (:func:`repro.trace.segments.load_segmented_columnar`) and
+    transformed there; event objects are built once, for the returned
+    trace (and, with ``full=True``, for ``result.original``).
     """
+    from repro.trace import segments as _segments
+
     with _call("transform", telemetry):
-        result = _transform_trace(_coerce_trace(trace), **options)
+        if not isinstance(trace, Trace) and _segments.is_segmented_file(trace):
+            source = _segments.load_segmented_columnar(trace)
+        else:
+            source = _coerce_trace(trace)
+        result = _transform_trace(source, **options)
+    # the columnar route and the numpy rewrite yield ColumnarTraces; the
+    # facade contract is a plain, independently mutable Trace
     if not isinstance(result.trace, Trace):
-        # the numpy rewrite emits a ColumnarTrace; the facade contract
-        # is a plain, independently mutable Trace
         result.trace = result.trace.to_trace()
+    if full and not isinstance(result.original, Trace):
+        result.original = result.original.to_trace()
     return result if full else result.trace
 
 

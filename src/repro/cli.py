@@ -449,8 +449,10 @@ def cmd_watch(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    trace = _load_trace(args.trace, args)
-    result = api.transform(trace, full=True)
+    # without --salvage the facade loads the path itself (segmented
+    # files take its columnar route)
+    source = _load_trace(args.trace, args) if args.salvage else args.trace
+    result = api.transform(source, full=True)
     breakdown = result.analysis.breakdown
     print(f"critical sections : {len(result.sections)}")
     print(

@@ -12,6 +12,8 @@ opens a :func:`run_scope` naming the entry point, so a grep for
 ``run_id=debug-0001`` (or the ``"run_id"`` key in ``--log-json``
 output) isolates one pipeline invocation.  Run ids are a deterministic
 in-process counter, not wall clock, so log *content* stays reproducible.
+The ambient id is a :class:`contextvars.ContextVar`: a scope covers the
+thread (or task) that opened it, never records from other threads.
 
 Nothing here touches the root logger or other libraries' handlers;
 without :func:`configure`, warnings and errors still surface through
@@ -20,6 +22,7 @@ logging's last-resort stderr handler.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import logging
@@ -36,13 +39,15 @@ _RESERVED = frozenset(
     logging.LogRecord("", 0, "", 0, "", (), None).__dict__
 ) | {"message", "asctime", "run_id", "taskName"}
 
-_run_id = ""
+_run_id: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_run_id", default=""
+)
 _run_counter = itertools.count(1)
 
 
 def current_run_id() -> str:
     """The run id of the innermost active :func:`run_scope` ("" outside)."""
-    return _run_id
+    return _run_id.get()
 
 
 @contextmanager
@@ -51,16 +56,16 @@ def run_scope(label: str) -> Iterator[str]:
 
     The id is ``"<label>-<NNNN>"`` from a process-wide counter — stable
     content across runs (no wall clock, no pids).  Scopes nest; the
-    innermost one wins, and the previous id is restored on exit.
+    innermost one wins, and the previous id is restored on exit.  The
+    id is visible only in the current context (thread): a scope another
+    thread holds open never stamps this thread's records.
     """
-    global _run_id
-    token = f"{label}-{next(_run_counter):04d}"
-    previous = _run_id
-    _run_id = token
+    run_id = f"{label}-{next(_run_counter):04d}"
+    token = _run_id.set(run_id)
     try:
-        yield token
+        yield run_id
     finally:
-        _run_id = previous
+        _run_id.reset(token)
 
 
 class _ContextFilter(logging.Filter):
@@ -68,7 +73,7 @@ class _ContextFilter(logging.Filter):
 
     def filter(self, record: logging.LogRecord) -> bool:
         if not hasattr(record, "run_id"):
-            record.run_id = _run_id
+            record.run_id = _run_id.get()
         return True
 
 

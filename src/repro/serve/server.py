@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 import urllib.parse
 from hashlib import sha256
@@ -80,13 +81,17 @@ def _spool_trace(server: "ReproServer", body: bytes) -> Path:
 
     The spool file name is the payload digest, so re-uploads of the same
     trace bytes share one file and the write is idempotent (atomic
-    rename; a concurrent identical upload simply wins the race).
+    rename; a concurrent identical upload simply wins the race).  Each
+    handler thread stages under its own temp name: a shared one let a
+    second writer truncate it mid-rename or find it already moved.
     """
     digest = sha256(body).hexdigest()
     path = server.spool_dir / f"{digest[:32]}.trace"
     if not path.exists():
         server.spool_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp-{digest[:8]}")
+        tmp = path.with_name(
+            f"{path.name}.tmp-{digest[:8]}-{threading.get_ident()}"
+        )
         tmp.write_bytes(body)
         tmp.replace(path)
     return path
@@ -164,8 +169,10 @@ def _transform_compute(server, source, options: dict):
         from repro import api
         from repro.trace import serialize
 
-        trace = _coerce_full_trace(server, source)
-        result = api.transform(trace, full=True, **options)
+        # a spooled upload goes in as its path: segmented bytes then take
+        # the facade's columnar route
+        result = api.transform(_load_source(server, source), full=True,
+                               **options)
         out = io.StringIO()
         serialize.write_trace(result.trace, out)
         envelope = protocol.ok_envelope(protocol.transform_summary(result))
@@ -226,11 +233,19 @@ def _report_compute(server, source, options: ReportOptions):
 
 
 def _coerce_full_trace(server, source):
-    """A fully loaded Trace for endpoints that need whole-thread views."""
-    from repro.trace import serialize
+    """A fully loaded Trace for endpoints that need whole-thread views.
+
+    The spool file is named ``<digest>.trace`` whatever the upload's
+    container, so the segmented format is sniffed by content first — a
+    gzip-compressed segmented upload would fail the monolithic loader's
+    suffix check.
+    """
+    from repro.trace import segments, serialize
 
     target = _load_source(server, source)
     if isinstance(target, Path):
+        if segments.is_segmented_file(target):
+            return segments.load_segmented(target)
         return serialize.load(target)
     return target
 

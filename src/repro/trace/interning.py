@@ -18,7 +18,9 @@ The :class:`TraceEvent` dataclass stays the public unit of exchange:
 ``ColumnarTrace.threads`` yields :class:`LazyEvents` sequences that
 materialize (and cache) an equal ``TraceEvent`` per slot only when a
 caller actually touches it, so ``trace.threads``-shaped consumers keep
-working unmodified.
+working unmodified.  Whole-thread materialization — iterating a view,
+:meth:`ColumnarTrace.to_trace`, loading a segmented file as a
+:class:`Trace` — goes through the one bulk :func:`materialize`.
 
 A plain :class:`Trace` builds (and memoizes) its columnar core via
 ``trace.columnar()``; the intern tables round-trip through the
@@ -28,6 +30,7 @@ A plain :class:`Trace` builds (and memoizes) its columnar core via
 
 from __future__ import annotations
 
+import gc
 from array import array
 from collections.abc import Sequence
 from typing import Dict, Iterator, List, Optional
@@ -81,6 +84,10 @@ CS_EXIT_CODE = 11
 #: Spin/shared flag bits in the per-event flags byte.
 FLAG_SPIN = 1
 FLAG_SHARED = 2
+
+#: flags byte -> the event's ``spin`` / ``shared`` field
+_SPIN = tuple(bool(f & FLAG_SPIN) for f in range(256))
+_SHARED = tuple(bool(f & FLAG_SHARED) for f in range(256))
 
 
 class SymbolTable:
@@ -274,26 +281,75 @@ class ColumnarThread:
             op=self.ops.get(i),
             token=self.tokens.get(i),
             reason=self.reasons.get(i, ""),
-            woken=self.woken.get(i, []),
+            woken=list(self.woken.get(i, ())),
         )
+
+
+def materialize(column: ColumnarThread) -> List[TraceEvent]:
+    """Every slot of ``column`` as a fresh :class:`TraceEvent`, in order.
+
+    One ``zip`` pass over the columns with positional construction, then
+    the sparse payloads patched onto their slots — each event equals
+    ``column.event(i)`` and owns its ``woken`` list.  The cyclic GC is
+    paused for the loop only: a million fresh container objects would
+    otherwise trigger repeated full collections that find nothing.
+    """
+    tables = column.tables
+    tid = column.tid
+    kind_names = tables.kinds.names
+    # id -1 (no payload) indexes the trailing ""
+    lock_names = tables.locks.names + [""]
+    addr_names = tables.addrs.names + [""]
+    rows = zip(
+        column.uids, column.kind, column.t, column.sites, column.duration,
+        column.lock_id, column.t_request, column.flags, column.addr_id,
+        column.value,
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        events = [
+            TraceEvent(
+                uid, tid, kind_names[k], t, site, duration, lock_names[lid],
+                t_request, _SPIN[flags], _SHARED[flags], addr_names[aid],
+                value,
+            )
+            for (uid, k, t, site, duration, lid, t_request, flags, aid,
+                 value) in rows
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    for i, op in column.ops.items():
+        events[i].op = op
+    for i, token in column.tokens.items():
+        events[i].token = token
+    for i, reason in column.reasons.items():
+        events[i].reason = reason
+    for i, woken in column.woken.items():
+        events[i].woken = list(woken)
+    return events
 
 
 class LazyEvents(Sequence):
     """Sequence view over a :class:`ColumnarThread`.
 
     Materializes each :class:`TraceEvent` once, on first access, so
-    identity is stable across repeated reads of the same slot.
+    identity is stable across repeated reads of the same slot.  Iteration
+    materializes every still-empty slot in one :func:`materialize` pass.
     """
 
-    __slots__ = ("_column", "_cache")
+    __slots__ = ("_column", "_cache", "_missing")
 
     def __init__(self, column: ColumnarThread, cache: Optional[List[TraceEvent]] = None):
         self._column = column
         if cache is not None:
             # pre-materialized view: share the source trace's own events
             self._cache = cache
+            self._missing = 0
         else:
             self._cache = [None] * len(column)
+            self._missing = len(column)
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -307,11 +363,19 @@ class LazyEvents(Sequence):
             if index < 0:
                 index += len(self._cache)
             event = self._cache[index] = self._column.event(index)
+            self._missing -= 1
         return event
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for i in range(len(self._cache)):
-            yield self[i]
+        if self._missing:
+            fresh = materialize(self._column)
+            if self._missing < len(fresh):
+                # slots read before keep their identity
+                fresh = [old if old is not None else new
+                         for old, new in zip(self._cache, fresh)]
+            self._cache = fresh
+            self._missing = 0
+        return iter(self._cache)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LazyEvents):
@@ -462,7 +526,13 @@ class ColumnarTrace:
         return list(self.lock_schedule)
 
     def to_trace(self):
-        """Materialize a plain, independently mutable :class:`Trace`."""
+        """Materialize a plain, independently mutable :class:`Trace`.
+
+        Each thread list is a copy of its fully iterated view — one bulk
+        :func:`materialize` pass over the slots nothing has read yet —
+        so events already handed out (e.g. the analysis' section
+        boundaries) are the same objects in the returned trace.
+        """
         from repro.trace.trace import Trace
 
         trace = Trace(self.meta)

@@ -73,6 +73,7 @@ from repro.trace.interning import (
     ColumnarThread,
     ColumnarTrace,
     InternTables,
+    materialize,
 )
 from repro.trace.selective import SideTable
 from repro.trace.trace import Trace, TraceMeta
@@ -1360,27 +1361,13 @@ class SegmentTail:
 def load_segmented(path: Union[str, Path]) -> Trace:
     """Materialize a segmented file as a full :class:`Trace` (strict).
 
-    The compatibility path: every command that needs a whole trace
-    (replay, transform, report, ...) loads segmented files through here.
-    Memory is O(trace) by definition — use the streaming readers for
+    The compatibility path for callers that need event objects: the
+    columnar load of :func:`load_segmented_columnar`, then one bulk
+    :meth:`~repro.trace.interning.ColumnarTrace.to_trace`.  Memory is
+    O(trace) by definition — use the streaming readers for
     bounded-memory analysis.
     """
-    with open_segmented(path) as reader:
-        trace = Trace(reader.meta)
-        for tid in reader.threads:
-            trace.add_thread(tid)
-        trace.side = reader.side
-        for segment in reader.segments():
-            for chunk in segment.chunks:
-                events = trace.threads[chunk.tid]
-                column = chunk.column
-                for i in range(len(column)):
-                    events.append(column.event(i))
-        trace.lock_schedule = {
-            lock: list(uids) for lock, uids in reader.lock_schedule.items()
-        }
-        trace.symbols = reader.tables
-        return trace
+    return load_segmented_columnar(path).to_trace()
 
 
 def load_segmented_columnar(path: Union[str, Path]) -> ColumnarTrace:
@@ -1448,10 +1435,7 @@ def salvage_segmented(path: Union[str, Path]):
         seen = 0
         for segment in reader.segments_tolerant():
             for chunk in segment.chunks:
-                events = trace.threads[chunk.tid]
-                column = chunk.column
-                for i in range(len(column)):
-                    events.append(column.event(i))
+                trace.threads[chunk.tid].extend(materialize(chunk.column))
             seen += segment.events
         expected = None
         if reader.footer is not None:

@@ -74,3 +74,48 @@ class TestByteIdentity:
         )
         assert status == 200
         assert body.decode("utf-8") == local
+
+
+class TestSegmentedGzipUploads:
+    """Segmented ``.jsonl.gz`` uploads to the whole-trace endpoints.
+
+    The spool file is ``<digest>.trace`` whatever the upload's container,
+    so these endpoints must sniff the segmented format by content
+    rather than hand the file to the monolithic loader (which refused a
+    gzip file without a ``.gz`` suffix as ``400 trace.invalid``).
+    """
+
+    @pytest.fixture()
+    def seg_gz(self, trace_file, tmp_path, capsys):
+        path = str(tmp_path / "t.seg.jsonl.gz")
+        assert main(["convert", trace_file, path,
+                     "--segment-events", "64"]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_transform_artifact_equals_local(self, server, seg_gz):
+        import io
+
+        from repro import api
+        from repro.trace import serialize
+
+        out = io.StringIO()
+        serialize.write_trace(api.transform(serialize.load(seg_gz)), out)
+        status, body = _post(server, "/v1/transform",
+                             open(seg_gz, "rb").read())
+        assert status == 200
+        assert body.decode("utf-8") == out.getvalue()
+
+    def test_timeline_artifact_equals_local(self, server, seg_gz):
+        from repro import api
+        from repro.options import AnalyzeOptions
+        from repro.timeline import build_timeline, to_columnar_json
+        from repro.trace import serialize
+
+        trace = serialize.load(seg_gz)
+        local = to_columnar_json(build_timeline(
+            trace, analysis=api.analyze(trace, AnalyzeOptions()))) + "\n"
+        status, body = _post(server, "/v1/timeline?format=json",
+                             open(seg_gz, "rb").read())
+        assert status == 200
+        assert body.decode("utf-8") == local

@@ -234,6 +234,40 @@ class TestConcurrentDedup:
             thread.join(timeout=5)
 
 
+class TestSpool:
+    def test_concurrent_identical_uploads_all_spool(self, tmp_path):
+        # every handler thread stages under its own temp name; a shared
+        # one made racing writers fail the rename (or truncate the file)
+        from types import SimpleNamespace
+
+        from repro.serve.server import _spool_trace
+
+        server = SimpleNamespace(spool_dir=tmp_path / "spool")
+        body = b"x" * (1 << 20)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def upload():
+            barrier.wait()
+            try:
+                assert _spool_trace(server, body).read_bytes() == body
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        for _ in range(20):
+            for path in server.spool_dir.glob("*"):
+                path.unlink()
+            threads = [threading.Thread(target=upload) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert errors == []
+        assert [p.name for p in server.spool_dir.iterdir()] == [
+            _spool_trace(server, body).name
+        ]
+
+
 class TestQuarantine:
     def test_malformed_trace_is_structured_400(self, client):
         status, _, body = client(

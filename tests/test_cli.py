@@ -22,6 +22,32 @@ class TestCli:
         assert "ULCP pairs" in out
         assert "ULCP-free trace" in out
 
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.seg.jsonl.gz"])
+    def test_transform_output_bytes_match_loaded_trace(self, tmp_path, capsys,
+                                                       name):
+        # `transform TRACE` hands the path to the facade (segmented files
+        # take the columnar route); the -o bytes must equal transforming
+        # the fully loaded trace
+        from repro import api
+        from repro.trace import serialize
+
+        mono = str(tmp_path / "t.jsonl")
+        assert main(["record", "mixed-bag", "-o", mono, "--seed", "2"]) == 0
+        source = str(tmp_path / name)
+        if source != mono:
+            assert main(["convert", mono, source,
+                         "--segment-events", "64"]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "free.jsonl"
+        assert main(["transform", source, "-o", str(out_file)]) == 0
+        summary = capsys.readouterr().out
+        ref_file = tmp_path / "ref.jsonl"
+        serialize.dump(api.transform(serialize.load(source)), ref_file)
+        assert out_file.read_bytes() == ref_file.read_bytes()
+        assert main(["transform", mono]) == 0
+        assert capsys.readouterr().out == summary.replace(
+            f"ULCP-free trace -> {out_file}\n", "")
+
     def test_debug_workload(self, capsys):
         assert main(["debug", "transmissionBT"]) == 0
         assert "PERFPLAY report" in capsys.readouterr().out

@@ -102,6 +102,38 @@ class TestRunScope:
         assert first["run_id"] == rid
         assert "run_id" not in second
 
+    def test_scope_held_in_another_thread_stays_there(self):
+        # a serve worker thread can sit inside a facade call while other
+        # threads log; its run id must not stamp their records
+        import threading
+
+        stream = _configure(json_lines=True)
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with log.run_scope("analyze") as rid:
+                seen["rid"] = rid
+                entered.set()
+                release.wait(10)
+                seen["inside"] = log.current_run_id()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert log.current_run_id() == ""
+            log.get_logger("x").info("main thread")
+            with log.run_scope("debug") as mine:
+                assert log.current_run_id() == mine
+        finally:
+            release.set()
+            thread.join(10)
+        assert seen["inside"] == seen["rid"]
+        record = json.loads(stream.getvalue().strip())
+        assert "run_id" not in record
+        assert log.current_run_id() == ""
+
     def test_facade_calls_open_a_scope(self):
         # every repro.api entry point wraps its body in _call(name, sink),
         # so diagnostics emitted anywhere inside carry the facade run id

@@ -27,6 +27,7 @@ from repro.analysis.classify import FALSE, classify_pair
 from repro.analysis.engine import scan_trace
 from repro.analysis.sections import CriticalSection, sections_by_lock
 from repro.analysis.ulcp import BENIGN, TLCP, UlcpBreakdown, UlcpPair
+from repro.trace.interning import ColumnarTrace
 from repro.trace.trace import Trace
 
 
@@ -45,6 +46,11 @@ class PairAnalysis:
     #: total events in the analyzed trace (both paths fill it; the
     #: streaming path has no Trace object for consumers to ``len()``)
     events: int = 0
+    #: the shared decoded core this analysis was computed from, when
+    #: ``api.analyze`` decoded a segmented file once
+    #: (:func:`repro.trace.segments.load_segmented_columnar`); holding it
+    #: keeps the core live for the flow's timeline and transform calls
+    core: Optional[ColumnarTrace] = field(default=None, repr=False, compare=False)
 
     @property
     def ulcps(self) -> List[UlcpPair]:

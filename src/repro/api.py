@@ -61,6 +61,15 @@ __all__ = [
 
 TraceLike = Union[Trace, str, Path]
 
+#: the ``stream="auto"`` rule of :func:`analyze`: a segmented file whose
+#: fresh index counts at most this many events is decoded once into a
+#: shared core (:func:`repro.trace.segments.load_segmented_columnar`)
+#: instead of streamed twice.  A decoded core costs ~190 B/event
+#: (1M-event ``bigtrace-1m`` trace: 181 MB of core, +12 MB of analysis),
+#: so 2M events stay under the 512 MB ceiling that bounds streaming
+#: analysis (``benchmarks/test_segments.py``); larger files stream.
+DECODE_ONCE_MAX_EVENTS = 2_000_000
+
 
 def _options_shim(func_name: str, cls, options, legacy: dict):
     """Resolve the one-options-object signature against bare kwargs.
@@ -216,6 +225,25 @@ def _checkpointer_for(path: Union[str, Path], run_id: str, every: int):
     return Checkpointer(ckpt_path, tag=tag, every=every)
 
 
+def _decodes_once(path, opts: AnalyzeOptions, budget, on_progress) -> bool:
+    """Whether auto-mode :func:`analyze` decodes segmented ``path`` once.
+
+    Everything that needs the segment-by-segment walk keeps it:
+    progress snapshots, checkpoints, the sharded scan, an explicit
+    ``stream=True``, a budget over its memory watermark, and files over
+    :data:`DECODE_ONCE_MAX_EVENTS` or without a fresh index (whose event
+    count is unknown until streamed).
+    """
+    from repro.trace import segments as _segments
+
+    if (opts.stream != "auto" or on_progress is not None
+            or opts.resume is not None or opts.jobs > 1
+            or (budget is not None and budget.over_memory())):
+        return False
+    index = _segments.fresh_index(path)
+    return index is not None and index.events <= DECODE_ONCE_MAX_EVENTS
+
+
 def analyze(
     trace: TraceLike,
     options: Optional[AnalyzeOptions] = None,
@@ -232,13 +260,21 @@ def analyze(
 
     ``options`` is an :class:`repro.options.AnalyzeOptions` — the same
     object the CLI and the wire API build.  Its ``stream`` field selects
-    the analysis path: the default ``"auto"`` streams segment by segment
-    — in memory bounded by one segment, not the trace — when ``trace``
-    is a path to a segmented file (see :mod:`repro.trace.segments`), and
-    loads the whole trace otherwise.  ``stream=True`` requires a
-    segmented file path (raises :class:`~repro.errors.TraceError` for
-    traces and monolithic files); ``stream=False`` always loads fully.
-    Both paths produce identical results.
+    the analysis path.  With the default ``"auto"``, a path to a
+    segmented file (see :mod:`repro.trace.segments`) whose fresh index
+    counts at most :data:`DECODE_ONCE_MAX_EVENTS` events is decoded
+    once into a shared columnar core and analyzed in memory; the
+    returned analysis keeps that core (``analysis.core``) alive, so a
+    later :func:`transform` of the same path, or
+    :func:`repro.timeline.build_timeline_segments` over it, reuses the
+    decode instead of repeating it.  Larger segmented files — and any
+    call with ``on_progress``, ``resume``, ``jobs > 1`` or a budget over
+    its memory watermark — stream segment by segment, in memory bounded
+    by one segment, not the trace.  Anything else loads the whole
+    trace.  ``stream=True`` always streams and requires a segmented
+    file path (raises :class:`~repro.errors.TraceError` for traces and
+    monolithic files); ``stream=False`` always loads fully.  Every path
+    produces identical results.
 
     ``options.resume`` names a run id whose streaming scan checkpoints
     every ``options.checkpoint_every`` segments; a killed analysis
@@ -295,6 +331,13 @@ def analyze(
             want_stream = True
         if want_stream and not isinstance(trace, Trace):
             if _segments.is_segmented_file(trace):
+                if _decodes_once(trace, opts, budget, on_progress):
+                    core = _segments.load_segmented_columnar(trace)
+                    analysis = analyze_pairs(
+                        core, benign_detection=opts.benign_detection
+                    )
+                    analysis.core = core
+                    return analysis
                 from repro.analysis.streaming import analyze_segments
 
                 checkpoint = None
@@ -376,7 +419,9 @@ def transform(
     A path to a segmented file is loaded straight into its columnar core
     (:func:`repro.trace.segments.load_segmented_columnar`) and
     transformed there; event objects are built once, for the returned
-    trace (and, with ``full=True``, for ``result.original``).
+    trace (and, with ``full=True``, for ``result.original``).  When an
+    earlier :func:`analyze` of the same path still holds its decoded
+    core, that core — and the scan memoized on it — is reused.
     """
     from repro.trace import segments as _segments
 

@@ -200,11 +200,15 @@ def _add_stream_option(parser):
                            "automatically for segmented files)")
 
 
-def _want_stream(path, args) -> bool:
+def _want_stream(path, args) -> bool | str:
     """Resolve ``--stream/--no-stream`` (default: auto) for a trace path.
 
-    Auto streams exactly when the file is segmented and ``--salvage`` was
-    not requested (salvage hands the damaged file to the tolerant loader,
+    Returns the :attr:`AnalyzeOptions.stream` value for the path: ``False``
+    loads the whole trace, ``True`` (an explicit ``--stream``) streams,
+    and ``"auto"`` — also truthy — hands a segmented file to the facade,
+    whose auto rule picks between streaming and one shared decode.  Auto
+    applies exactly when the file is segmented and ``--salvage`` was not
+    requested (salvage hands the damaged file to the tolerant loader,
     which needs the full-load path).  An explicit ``--stream`` on a
     non-segmented file fails loudly rather than silently loading it all.
     """
@@ -225,7 +229,9 @@ def _want_stream(path, args) -> bool:
                 "monolithic; convert it first: repro convert IN OUT"
             )
         return True
-    return segmented and not getattr(args, "salvage", False)
+    if segmented and not getattr(args, "salvage", False):
+        return "auto"
+    return False
 
 
 def _load_trace(path, args):
@@ -346,9 +352,10 @@ def cmd_analyze(args) -> int:
         print("error: --jobs fans the scan out, --resume checkpoints it; "
               "pick one", file=sys.stderr)
         return EXIT_USAGE
-    if _want_stream(args.trace, args):
+    stream = _want_stream(args.trace, args)
+    if stream:
         analysis = api.analyze(args.trace, AnalyzeOptions(
-            benign_detection=not args.no_benign, stream=True,
+            benign_detection=not args.no_benign, stream=stream,
             resume=args.resume, checkpoint_every=args.checkpoint_every,
             jobs=args.jobs,
         ))
@@ -513,8 +520,9 @@ def cmd_profile(args) -> int:
 def cmd_timeline(args) -> int:
     # the ascii renderer needs whole-thread views, so only the chrome/json
     # formats have a streaming path
-    if args.format != "ascii" and _want_stream(args.trace, args):
-        return _cmd_timeline_stream(args)
+    stream = args.format != "ascii" and _want_stream(args.trace, args)
+    if stream:
+        return _cmd_timeline_stream(args, stream)
     trace = _load_trace(args.trace, args)
     if args.format == "ascii":
         from repro.trace.render import render_timeline
@@ -530,13 +538,15 @@ def cmd_timeline(args) -> int:
     return _emit_timeline(timeline, args)
 
 
-def _cmd_timeline_stream(args) -> int:
+def _cmd_timeline_stream(args, stream) -> int:
     from repro.timeline import build_timeline_segments
     from repro.trace.segments import open_segmented
 
-    analysis = api.analyze(
-        args.trace, benign_detection=not args.no_benign, stream=True
-    )
+    # under the auto rule the analysis holds the file's decoded core, and
+    # the timeline build below reuses it instead of decoding again
+    analysis = api.analyze(args.trace, AnalyzeOptions(
+        benign_detection=not args.no_benign, stream=stream,
+    ))
     with open_segmented(args.trace) as reader:
         timeline = build_timeline_segments(reader, analysis=analysis)
     return _emit_timeline(timeline, args)

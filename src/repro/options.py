@@ -131,8 +131,10 @@ class AnalyzeOptions(_Options):
         run the reversed-replay benign test on conflicting pairs (the
         default); off, conflicting pairs count as TLCPs.
     ``stream``
-        ``"auto"`` (default) streams segmented trace files segment by
-        segment and fully loads everything else; ``True`` requires a
+        ``"auto"`` (default) decodes a small indexed segmented file once
+        into a shared core, streams larger ones segment by segment (the
+        rule is :data:`repro.api.DECODE_ONCE_MAX_EVENTS`), and fully
+        loads everything else; ``True`` always streams and requires a
         segmented file path; ``False`` always loads fully.
     ``resume`` / ``checkpoint_every``
         run id for segment-granular scan checkpoints, and the number of

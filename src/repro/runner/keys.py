@@ -72,10 +72,6 @@ def segmented_digest(path) -> str:
     or to the segment size, which changes the segmentation — changes
     the result.
     """
-    from repro.trace.segments import segment_digests
+    from repro.trace.segments import fold_digests, segment_digests
 
-    digest = hashlib.sha256()
-    for part in segment_digests(path):
-        digest.update(part.encode())
-        digest.update(b"\0")
-    return digest.hexdigest()[:32]
+    return fold_digests(segment_digests(path))

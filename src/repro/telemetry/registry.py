@@ -47,6 +47,8 @@ COUNTERS: Dict[str, str] = {
                                "(watch/progress) analysis",
     "analyze.early_stop": "watches stopped early by a stable top-K ranking",
     "segments.reindexed": "segment indexes rebuilt from a sidecar-less file",
+    "segments.cores_shared": "segmented loads answered by a live decoded "
+                             "core instead of a decode",
     "ulcp.null_lock": "pairs classified null-lock",
     "ulcp.read_read": "pairs classified read-read",
     "ulcp.disjoint_write": "pairs classified disjoint-write",

@@ -62,6 +62,7 @@ from repro.trace.interning import (
     WAIT_CODE,
     WRITE_CODE,
 )
+from repro.trace.segments import shared_core
 
 
 def classification_map(analysis) -> Dict[str, str]:
@@ -385,8 +386,18 @@ def build_timeline_segments(reader, *, analysis=None, merge: bool = True,
     ``checkpoint`` (a :class:`repro.runner.checkpoint.Checkpointer`)
     persists the in-flight lane state every N segments and resumes from
     the last saved boundary, exactly like the analysis scan.
+
+    When a result still holds the file's decoded core (e.g. the analysis
+    of :func:`repro.api.analyze` on the same path, see
+    :func:`repro.trace.segments.shared_core`) and no checkpoint is
+    requested, the lanes are built from that core and the reader is left
+    unread — the same timeline, without decoding the file again.
     """
     kinds = classification_map(analysis)
+    if checkpoint is None:
+        core = shared_core(reader.path)
+        if core is not None:
+            return _from_trace(core, kinds, merge=merge)
     kinds_get = kinds.get
     lock_cost = reader.meta.lock_cost
     mem_cost = reader.meta.mem_cost

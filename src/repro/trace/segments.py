@@ -56,6 +56,8 @@ import hashlib
 import io
 import json
 import os
+import threading
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -1370,6 +1372,49 @@ def load_segmented(path: Union[str, Path]) -> Trace:
     return load_segmented_columnar(path).to_trace()
 
 
+#: decoded cores that some result still references, by :func:`_core_key`;
+#: the registry itself holds nothing alive
+_CORES: "weakref.WeakValueDictionary[tuple, ColumnarTrace]" = (
+    weakref.WeakValueDictionary()
+)
+_CORES_LOCK = threading.Lock()
+
+
+def _core_key(path: Union[str, Path]) -> Optional[tuple]:
+    """The shared-core registry key of ``path``, or ``None`` (unshareable).
+
+    The content part is the fold of the segment digests
+    (:func:`fold_digests`, as in
+    :func:`repro.runner.keys.segmented_digest`), read from a *fresh*
+    sidecar index only — the lookup never decompresses the file and
+    never rebuilds the index, so a file without a fresh index is never
+    shared.  Segment digests do not cover the header block (meta, lock
+    schedule, thread list), so the key also pins the file's identity:
+    an atomic rewrite installs a new inode.
+    """
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    index = load_index(path)
+    if index is None or index.file_size != stat.st_size:
+        return None
+    return (fold_digests(s.digest for s in index.segments),
+            stat.st_dev, stat.st_ino, stat.st_mtime_ns)
+
+
+def shared_core(path: Union[str, Path]) -> Optional[ColumnarTrace]:
+    """The live decoded core of ``path`` if a result still holds one.
+
+    Never decodes: ``None`` means the caller streams or decodes itself.
+    """
+    key = _core_key(path)
+    if key is None:
+        return None
+    with _CORES_LOCK:
+        return _CORES.get(key)
+
+
 def load_segmented_columnar(path: Union[str, Path]) -> ColumnarTrace:
     """Materialize a segmented file as a :class:`ColumnarTrace` (strict).
 
@@ -1379,7 +1424,30 @@ def load_segmented_columnar(path: Union[str, Path]) -> ColumnarTrace:
     path for whole-trace analysis at streaming scale: the engine and the
     vectorized kernels consume the columns directly, and downstream
     events materialize lazily only where something touches them.
+
+    Decoded cores are shared: while any result still references the
+    core of this file (keyed by :func:`_core_key`), every call returns
+    that same object — with its memoized scan — instead of decoding
+    again.  The registry is weak, so a core lives exactly as long as its
+    holders.  A shared core is read-only, like every columnar core.
     """
+    key = _core_key(path)
+    if key is not None:
+        with _CORES_LOCK:
+            core = _CORES.get(key)
+        if core is not None:
+            telemetry.count("segments.cores_shared")
+            return core
+    core = _decode_columnar(path)
+    # register only if the file did not change under the decode
+    if key is not None and _core_key(path) == key:
+        with _CORES_LOCK:
+            core = _CORES.setdefault(key, core)
+    return core
+
+
+def _decode_columnar(path: Union[str, Path]) -> ColumnarTrace:
+    """One strict streaming pass assembling the whole columnar core."""
     with open_segmented(path) as reader:
         columns: Dict[str, ColumnarThread] = {}
         parts: Dict[str, List[ColumnarThread]] = {}
@@ -1551,6 +1619,21 @@ def rebuild_index(path: Union[str, Path]) -> Optional[SegmentedIndex]:
     )
 
 
+def fresh_index(path: Union[str, Path]) -> Optional[SegmentedIndex]:
+    """The sidecar index of ``path`` if it matches the data file, else ``None``.
+
+    Never rebuilds: the check is one ``stat`` and one small JSON read.
+    """
+    try:
+        file_size = os.stat(path).st_size
+    except OSError:
+        return None
+    index = load_index(path)
+    if index is not None and index.file_size == file_size:
+        return index
+    return None
+
+
 def ensure_index(path: Union[str, Path]) -> Optional[SegmentedIndex]:
     """A fresh sidecar index for ``path``, rebuilding it if needed.
 
@@ -1562,12 +1645,8 @@ def ensure_index(path: Union[str, Path]) -> Optional[SegmentedIndex]:
     when the data file itself is damaged.
     """
     path = Path(path)
-    try:
-        file_size = path.stat().st_size
-    except OSError:
-        return None
-    index = load_index(path)
-    if index is not None and index.file_size == file_size:
+    index = fresh_index(path)
+    if index is not None:
         return index
     index = rebuild_index(path)
     if index is None:
@@ -1581,6 +1660,15 @@ def ensure_index(path: Union[str, Path]) -> Optional[SegmentedIndex]:
 
 
 # ------------------------------------------------------------- digests
+
+
+def fold_digests(digests) -> str:
+    """One key-sized hash over per-segment content digests, in order."""
+    digest = hashlib.sha256()
+    for part in digests:
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()[:32]
 
 
 def segment_digests(path: Union[str, Path]) -> List[str]:

@@ -6,22 +6,41 @@ monolithic path, including a workload whose FALSE pairs exercise the
 second (benign-evidence) pass.
 """
 
+import gc
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from repro import api
 from repro.analysis.pairs import analyze_pairs
 from repro.analysis.streaming import analyze_segments
 from repro.errors import TraceError
+from repro.options import AnalyzeOptions
+from repro.record import record
+from repro.runner.budget import RunBudget
+from repro.runner.checkpoint import Checkpointer
+from repro.serve import protocol
 from repro.timeline import (
     build_timeline,
     build_timeline_segments,
     to_chrome_json,
     to_columnar_json,
 )
-from repro.trace.segments import open_segmented, write_segmented
+from repro.trace import dumps
+from repro.trace.segments import (
+    index_path,
+    load_index,
+    open_segmented,
+    write_segmented,
+)
 from repro.trace.stats import stats_segments, trace_stats
+from tests.analysis.test_engine_equivalence import (
+    build_program,
+    program_set_strategy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +72,9 @@ def _analysis_fingerprint(analysis):
             for k in ("null_lock", "read_read", "disjoint_write", "benign", "tlcp")
         },
         "benign_cache": dict(analysis.benign_cache),
+        "envelope": protocol.wire_dumps(
+            protocol.ok_envelope(protocol.analyze_result(analysis))
+        ),
     }
 
 
@@ -152,3 +174,160 @@ class TestTimelineParity:
         with open_segmented(segmented_path) as reader:
             streamed = build_timeline_segments(reader, merge=False)
         assert to_columnar_json(streamed) == to_columnar_json(whole)
+
+
+class TestAutoRoute:
+    """``stream="auto"`` decodes a small indexed file once, and equals
+    the two-pass streaming analysis it replaces."""
+
+    @pytest.mark.parametrize("name,seed", [
+        ("mysql", 2), ("mixed-bag", 3), ("tunable-contention", 0),
+        ("fluidanimate", 1),
+    ])
+    def test_seeded_traces_equal_streaming(self, tmp_path, name, seed):
+        trace = api.record(name, threads=3, scale=0.3, seed=seed)
+        path = tmp_path / "t.seg.jsonl.gz"
+        write_segmented(trace, path, segment_events=53)
+        auto = api.analyze(path)
+        assert auto.core is not None  # the decode-once route ran
+        streamed = analyze_segments(path)
+        assert _analysis_fingerprint(auto) == _analysis_fingerprint(streamed)
+
+    def test_without_benign_detection(self, segmented_path):
+        options = AnalyzeOptions(benign_detection=False)
+        auto = api.analyze(segmented_path, options)
+        assert auto.core is not None
+        assert _analysis_fingerprint(auto) == _analysis_fingerprint(
+            analyze_segments(segmented_path, benign_detection=False))
+
+    @settings(max_examples=30, deadline=None)
+    @given(program_set_strategy)
+    def test_random_programs_equal_streaming(self, program_specs):
+        trace = record([build_program(s)() for s in program_specs]).trace
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.seg.jsonl.gz"
+            write_segmented(trace, path, segment_events=5)
+            auto = api.analyze(path)
+            assert auto.core is not None
+            assert _analysis_fingerprint(auto) == _analysis_fingerprint(
+                analyze_segments(path))
+
+    @pytest.mark.parametrize("trigger", [
+        "stream_true", "resume", "jobs", "budget", "over_limit", "no_index",
+    ])
+    def test_streaming_triggers_still_stream(self, segmented_path, tmp_path,
+                                             monkeypatch, trigger):
+        path = tmp_path / "t.seg.jsonl.gz"
+        path.write_bytes(segmented_path.read_bytes())
+        index_path(path).write_bytes(index_path(segmented_path).read_bytes())
+        options, kwargs = AnalyzeOptions(), {}
+        if trigger == "stream_true":
+            options = AnalyzeOptions(stream=True)
+        elif trigger == "resume":
+            options = AnalyzeOptions(resume="route")
+        elif trigger == "jobs":
+            options = AnalyzeOptions(jobs=2)
+        elif trigger == "budget":
+            kwargs["budget"] = RunBudget(max_rss_mb=1)
+        elif trigger == "over_limit":
+            events = load_index(path).events
+            monkeypatch.setattr(api, "DECODE_ONCE_MAX_EVENTS", events - 1)
+        else:
+            index_path(path).unlink()
+        analysis = api.analyze(path, options, **kwargs)
+        assert analysis.core is None
+        assert _analysis_fingerprint(analysis) == _analysis_fingerprint(
+            analyze_segments(segmented_path))
+
+    def test_limit_is_inclusive(self, segmented_path, monkeypatch):
+        events = load_index(segmented_path).events
+        monkeypatch.setattr(api, "DECODE_ONCE_MAX_EVENTS", events)
+        assert api.analyze(segmented_path).core is not None
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_progress_streams_one_snapshot_per_segment(self, segmented_path,
+                                                       monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(api, "DECODE_ONCE_MAX_EVENTS", limit)
+        seen = []
+        analysis = api.analyze(segmented_path, on_progress=seen.append)
+        assert analysis.core is None
+        # one snapshot per folded segment, plus the terminal one
+        assert len(seen) == len(load_index(segmented_path).segments) + 1
+        explicit = []
+        api.analyze(segmented_path, AnalyzeOptions(stream=True),
+                    on_progress=explicit.append)
+        assert seen == explicit
+
+    def test_analysis_unchanged_by_later_calls_on_the_shared_core(
+        self, segmented_path
+    ):
+        analysis = api.analyze(segmented_path)
+        assert analysis.core is not None
+        before = _analysis_fingerprint(analysis)
+        mem_ops = {cs.uid: [e.uid for e in cs.memory_ops()]
+                   for cs in analysis.sections}
+        with open_segmented(segmented_path) as reader:
+            build_timeline_segments(reader, analysis=analysis)
+        full = api.transform(segmented_path, full=True)
+        assert full.analysis.sections is analysis.sections  # shared scan
+        api.transform(segmented_path)
+        assert _analysis_fingerprint(analysis) == before
+        assert {cs.uid: [e.uid for e in cs.memory_ops()]
+                for cs in analysis.sections} == mem_ops
+
+    def test_flow_decodes_once(self, segmented_path, decodes):
+        # analyze -> timeline -> transform: one decode while the analysis
+        # lives, a fresh one once it is dropped
+        analysis = api.analyze(segmented_path)
+        with open_segmented(segmented_path) as reader:
+            build_timeline_segments(reader, analysis=analysis)
+        shared = api.transform(segmented_path)
+        assert len(decodes) == 1
+        del analysis
+        gc.collect()
+        fresh = api.transform(segmented_path)
+        assert len(decodes) == 2
+        assert dumps(shared) == dumps(fresh)
+
+
+class TestSharedCoreTimeline:
+    """With a live core, ``build_timeline_segments`` builds from it; the
+    timeline must equal the streaming walk in every field and byte."""
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_equals_streaming_walk(self, segmented_path, decodes, merge):
+        streamed_analysis = analyze_segments(segmented_path)
+        with open_segmented(segmented_path) as reader:
+            streamed = build_timeline_segments(
+                reader, analysis=streamed_analysis, merge=merge)
+        analysis = api.analyze(segmented_path)
+        assert analysis.core is not None
+        decodes.clear()
+        with open_segmented(segmented_path) as reader:
+            shared = build_timeline_segments(reader, analysis=analysis,
+                                             merge=merge)
+        assert reader._handle.closed
+        assert decodes == []  # built from the core, reader left unread
+        assert shared == streamed
+        assert shared.lanes == streamed.lanes
+        assert shared.thread_start == streamed.thread_start
+        assert shared.thread_end == streamed.thread_end
+        assert shared.end_time == streamed.end_time
+        assert to_columnar_json(shared) == to_columnar_json(streamed)
+        assert to_chrome_json(shared) == to_chrome_json(streamed)
+
+    def test_checkpoint_still_streams(self, segmented_path, tmp_path,
+                                      decodes):
+        analysis = api.analyze(segmented_path)
+        assert analysis.core is not None
+        with open_segmented(segmented_path) as reader:
+            shared = build_timeline_segments(reader, analysis=analysis)
+        decodes.clear()
+        checkpoint = Checkpointer(tmp_path / "tl.ckpt.pkl.gz", tag="t",
+                                  every=2)
+        with open_segmented(segmented_path) as reader:
+            streamed = build_timeline_segments(reader, analysis=analysis,
+                                               checkpoint=checkpoint)
+        assert len(decodes) == 1
+        assert to_columnar_json(streamed) == to_columnar_json(shared)

@@ -9,6 +9,9 @@ the pytest process only — forked worker processes do not inherit it, so
 it cannot fire inside a supervised task.
 
 ``REPRO_TEST_TIMEOUT`` (seconds) overrides the default budget.
+
+The ``decodes`` fixture counts full segmented-file decodes, for tests of
+the shared decoded core.
 """
 
 import os
@@ -47,3 +50,19 @@ def _test_timeout(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Paths of every ``SegmentedReader.segments`` walk started."""
+    from repro.trace.segments import SegmentedReader
+
+    calls = []
+    original = SegmentedReader.segments
+
+    def counting(self):
+        calls.append(self.path)
+        return original(self)
+
+    monkeypatch.setattr(SegmentedReader, "segments", counting)
+    return calls

@@ -563,6 +563,32 @@ class TestStreamingCli:
         full_mono = capsys.readouterr().out
         assert streamed == full_seg == full_mono
 
+    def test_timeline_of_segmented_file_raises_no_deprecation(
+        self, tmp_path, capsys
+    ):
+        # `repro timeline` hands the facade an options object, not the
+        # deprecated bare keywords, and its bytes equal the full load's
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        seg_file = self._convert(tmp_path, self._record(tmp_path))
+        capsys.readouterr()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m", "repro",
+             "timeline", seg_file, "--format", "json"],
+            capture_output=True, env=env, timeout=240,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert main(["timeline", seg_file, "--format", "json",
+                     "--no-stream"]) == 0
+        assert proc.stdout.decode() == capsys.readouterr().out
+
     def test_stream_flag_rejects_monolithic(self, tmp_path, capsys):
         trace_file = self._record(tmp_path)
         capsys.readouterr()

@@ -3,7 +3,7 @@
 Run as a subprocess (its own address space) so ``ru_maxrss`` is an
 honest high-water mark for the streaming pipeline alone::
 
-    PYTHONPATH=src python benchmarks/_segbench.py [EVENTS] [DIR]
+    PYTHONPATH=src python benchmarks/_segbench.py [EVENTS] [DIR] [auto]
 
 Builds a synthetic segmented trace of EVENTS events *without ever
 holding the trace in memory* (the schedule is computed analytically, the
@@ -11,7 +11,10 @@ events are generated straight into :class:`SegmentedTraceWriter`), then
 runs the full streaming ULCP analysis over the file.  Prints one JSON
 object with throughput and the process's peak RSS; the companion
 ``test_segments.py`` asserts the memory bound and records the numbers in
-``BENCH_segments.json``.
+``BENCH_segments.json``.  With ``auto`` the file is analyzed through
+``api.analyze(path)`` instead, whose default route decodes a file of
+at most ``api.DECODE_ONCE_MAX_EVENTS`` events once into a whole-trace
+core; the output then also says whether that route was taken.
 
 The workload shape: two threads of mostly COMPUTE events, one short
 critical section per ~100 events per thread, alternating between a
@@ -107,14 +110,22 @@ def main() -> int:
     written = generate(path, total_events)
     t1 = time.perf_counter()
 
-    from repro.analysis.streaming import analyze_segments
+    auto = len(sys.argv) > 3 and sys.argv[3] == "auto"
+    if auto:
+        from repro import api
 
-    analysis = analyze_segments(path)
+        analysis = api.analyze(path)
+    else:
+        from repro.analysis.streaming import analyze_segments
+
+        analysis = analyze_segments(path)
     t2 = time.perf_counter()
 
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     analyze_seconds = t2 - t1
+    extra = {"decoded_once": analysis.core is not None} if auto else {}
     print(json.dumps({
+        **extra,
         "events": written["events"],
         "segments": written["segments"],
         "segment_events": SEGMENT_EVENTS,

@@ -8,6 +8,10 @@ in ``BENCH_segments.json`` next to the other benchmark artifacts.
 
 ``REPRO_SEGBENCH_EVENTS`` overrides the trace size (default 10M; a full
 load of 10M slotted event objects would need gigabytes).
+
+A second gate holds ``api.analyze``'s default route to the same ceiling
+at its size limit: a file of ``api.DECODE_ONCE_MAX_EVENTS`` events is
+decoded once into a whole-trace core instead of streamed.
 """
 
 import json
@@ -35,17 +39,21 @@ def _events() -> int:
         return DEFAULT_EVENTS
 
 
-def test_streaming_analysis_bounded_memory(tmp_path):
-    events = _events()
+def _run_bench(*args) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(BENCH_SCRIPT), str(events), str(tmp_path)],
+        [sys.executable, str(BENCH_SCRIPT), *map(str, args)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         timeout=1800,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_streaming_analysis_bounded_memory(tmp_path):
+    events = _events()
+    result = _run_bench(events, tmp_path)
 
     assert result["events"] == events
     assert result["segments"] >= events // 65536
@@ -59,4 +67,18 @@ def test_streaming_analysis_bounded_memory(tmp_path):
     assert result["analyze_events_per_sec"] > MIN_EVENTS_PER_SEC
 
     RESULT_FILE.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"\n{json.dumps(result, sort_keys=True)}")
+
+
+def test_decode_once_route_at_its_limit(tmp_path):
+    from repro.api import DECODE_ONCE_MAX_EVENTS
+
+    result = _run_bench(DECODE_ONCE_MAX_EVENTS, tmp_path, "auto")
+    assert result["decoded_once"], "the limit is inclusive"
+    assert result["events"] == DECODE_ONCE_MAX_EVENTS
+    assert result["pairs"] == result["ulcps"] > 0
+    assert result["peak_rss_mb"] < RSS_LIMIT_MB, (
+        f"decode-once analysis peaked at {result['peak_rss_mb']} MB for "
+        f"{DECODE_ONCE_MAX_EVENTS} events — lower DECODE_ONCE_MAX_EVENTS"
+    )
     print(f"\n{json.dumps(result, sort_keys=True)}")

@@ -64,10 +64,11 @@ TraceLike = Union[Trace, str, Path]
 #: the ``stream="auto"`` rule of :func:`analyze`: a segmented file whose
 #: fresh index counts at most this many events is decoded once into a
 #: shared core (:func:`repro.trace.segments.load_segmented_columnar`)
-#: instead of streamed twice.  A decoded core costs ~190 B/event
-#: (1M-event ``bigtrace-1m`` trace: 181 MB of core, +12 MB of analysis),
-#: so 2M events stay under the 512 MB ceiling that bounds streaming
-#: analysis (``benchmarks/test_segments.py``); larger files stream.
+#: instead of streamed twice.  A decoded core costs ~190 B/event; at
+#: this limit the decode-once ``analyze`` peaks at ~410 MB, under the
+#: 512 MB ceiling ``benchmarks/test_segments.py`` gates it with (a
+#: full analyze + timeline + transform flow peaks at ~1 GB on either
+#: route, since transform loads the whole trace).  Larger files stream.
 DECODE_ONCE_MAX_EVENTS = 2_000_000
 
 
@@ -230,15 +231,16 @@ def _decodes_once(path, opts: AnalyzeOptions, budget, on_progress) -> bool:
 
     Everything that needs the segment-by-segment walk keeps it:
     progress snapshots, checkpoints, the sharded scan, an explicit
-    ``stream=True``, a budget over its memory watermark, and files over
-    :data:`DECODE_ONCE_MAX_EVENTS` or without a fresh index (whose event
-    count is unknown until streamed).
+    ``stream=True``, a budget with a memory watermark (a decoded core
+    holds the whole trace, which the watermark may not fit), and files
+    over :data:`DECODE_ONCE_MAX_EVENTS` or without a fresh index (whose
+    event count is unknown until streamed).
     """
     from repro.trace import segments as _segments
 
     if (opts.stream != "auto" or on_progress is not None
             or opts.resume is not None or opts.jobs > 1
-            or (budget is not None and budget.over_memory())):
+            or (budget is not None and budget.max_rss_mb is not None)):
         return False
     index = _segments.fresh_index(path)
     return index is not None and index.events <= DECODE_ONCE_MAX_EVENTS
@@ -268,8 +270,8 @@ def analyze(
     later :func:`transform` of the same path, or
     :func:`repro.timeline.build_timeline_segments` over it, reuses the
     decode instead of repeating it.  Larger segmented files — and any
-    call with ``on_progress``, ``resume``, ``jobs > 1`` or a budget over
-    its memory watermark — stream segment by segment, in memory bounded
+    call with ``on_progress``, ``resume``, ``jobs > 1`` or a budget with
+    a memory watermark — stream segment by segment, in memory bounded
     by one segment, not the trace.  Anything else loads the whole
     trace.  ``stream=True`` always streams and requires a segmented
     file path (raises :class:`~repro.errors.TraceError` for traces and

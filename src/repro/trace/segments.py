@@ -1386,20 +1386,30 @@ def _core_key(path: Union[str, Path]) -> Optional[tuple]:
     The content part is the fold of the segment digests
     (:func:`fold_digests`, as in
     :func:`repro.runner.keys.segmented_digest`), read from a *fresh*
-    sidecar index only — the lookup never decompresses the file and
-    never rebuilds the index, so a file without a fresh index is never
-    shared.  Segment digests do not cover the header block (meta, lock
-    schedule, thread list), so the key also pins the file's identity:
-    an atomic rewrite installs a new inode.
+    sidecar index only (:func:`fresh_index`) — the lookup never
+    decompresses the file and never rebuilds the index, so a file
+    without a fresh index is never shared.  Segment digests do not
+    cover the header block (meta, lock schedule, thread list), so the
+    key adds a digest of the header's raw bytes, which end where the
+    index puts the first segment.  It also pins the file's identity:
+    an index left over from an older file of the same size vouches for
+    the wrong segments, and a rewrite installs a new inode.
     """
+    index = fresh_index(path)
+    if index is None:
+        return None
+    header_end = (index.segments[0].offset if index.segments
+                  else index.footer_offset)
+    if header_end is None:
+        return None
     try:
         stat = os.stat(path)
+        with open(path, "rb") as handle:
+            header = handle.read(header_end)
     except OSError:
         return None
-    index = load_index(path)
-    if index is None or index.file_size != stat.st_size:
-        return None
     return (fold_digests(s.digest for s in index.segments),
+            hashlib.sha256(header).hexdigest()[:32],
             stat.st_dev, stat.st_ino, stat.st_mtime_ns)
 
 

@@ -20,7 +20,7 @@ from repro.analysis.streaming import analyze_segments
 from repro.errors import TraceError
 from repro.options import AnalyzeOptions
 from repro.record import record
-from repro.runner.budget import RunBudget
+from repro.runner.budget import RunBudget, peak_rss_mb
 from repro.runner.checkpoint import Checkpointer
 from repro.serve import protocol
 from repro.timeline import (
@@ -213,7 +213,8 @@ class TestAutoRoute:
                 analyze_segments(path))
 
     @pytest.mark.parametrize("trigger", [
-        "stream_true", "resume", "jobs", "budget", "over_limit", "no_index",
+        "stream_true", "resume", "jobs", "budget", "budget_under_watermark",
+        "over_limit", "no_index",
     ])
     def test_streaming_triggers_still_stream(self, segmented_path, tmp_path,
                                              monkeypatch, trigger):
@@ -229,6 +230,12 @@ class TestAutoRoute:
             options = AnalyzeOptions(jobs=2)
         elif trigger == "budget":
             kwargs["budget"] = RunBudget(max_rss_mb=1)
+        elif trigger == "budget_under_watermark":
+            # room left under the watermark, but a decoded core is the
+            # whole trace: any memory budget keeps the streaming path
+            budget = RunBudget(max_rss_mb=(peak_rss_mb() or 0) + 64)
+            assert not budget.over_memory()
+            kwargs["budget"] = budget
         elif trigger == "over_limit":
             events = load_index(path).events
             monkeypatch.setattr(api, "DECODE_ONCE_MAX_EVENTS", events - 1)
@@ -238,6 +245,10 @@ class TestAutoRoute:
         assert analysis.core is None
         assert _analysis_fingerprint(analysis) == _analysis_fingerprint(
             analyze_segments(segmented_path))
+
+    def test_deadline_only_budget_decodes_once(self, segmented_path):
+        analysis = api.analyze(segmented_path, budget=RunBudget(deadline=600))
+        assert analysis.core is not None
 
     def test_limit_is_inclusive(self, segmented_path, monkeypatch):
         events = load_index(segmented_path).events

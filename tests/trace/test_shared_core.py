@@ -6,6 +6,7 @@ sidecar index only, and never vouches for a file that changed.
 """
 
 import gc
+import os
 import sys
 import threading
 
@@ -86,14 +87,37 @@ class TestSharing:
         assert core_state(old) != core_state(fresh)
 
     def test_same_content_under_a_new_header_is_not_shared(self, tmp_path):
-        # segment digests do not cover the header block; the file
-        # identity in the key does
+        # segment digests do not cover the header block; the header
+        # digest and the file identity in the key do
         path = tmp_path / "t.seg.jsonl.gz"
         trace = locked_trace()
         write_segmented(trace, path, segment_events=7)
         old = load_segmented_columnar(path)
         trace.meta.name = "renamed"
         write_segmented(trace, path, segment_events=7)
+        assert load_segmented_columnar(path).meta.name == "renamed"
+        assert old.meta.name != "renamed"
+
+    def test_new_header_under_the_same_identity_is_not_shared(self, tmp_path):
+        # an in-place rewrite that keeps the inode and the mtime, as two
+        # quick rewrites can when the inode is reused within one clock
+        # tick: only the header digest in the key tells the files apart
+        path = tmp_path / "t.seg.jsonl.gz"
+        trace = locked_trace()
+        write_segmented(trace, path, segment_events=7)
+        old = load_segmented_columnar(path)
+        before = path.stat()
+        trace.meta.name = "renamed"
+        other = tmp_path / "u.seg.jsonl.gz"
+        write_segmented(trace, other, segment_events=7)
+        with open(path, "r+b") as handle:
+            handle.write(other.read_bytes())
+            handle.truncate()
+        index_path(path).write_bytes(index_path(other).read_bytes())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
         assert load_segmented_columnar(path).meta.name == "renamed"
         assert old.meta.name != "renamed"
 

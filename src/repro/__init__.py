@@ -28,7 +28,7 @@ Package map (everything below :mod:`repro.api` is internal):
 ``repro.analysis``  ULCP identification, topology RULE 1-4, transform
 ``repro.replay``    ORIG-S / ELSC-S / SYNC-S / MEM-S replay engine
 ``repro.perfdebug`` Eq. 1 metrics, Algorithm 2 fusion, Eq. 2 ranking
-``repro.races``     Eraser + happens-before detectors (Theorem 1)
+``repro.races``     happens-before race detector (Theorem 1)
 ``repro.baselines`` lock-elision comparison model
 ``repro.workloads`` the paper's 16 application models + bug cases
 ``repro.experiments`` one module per evaluation table/figure

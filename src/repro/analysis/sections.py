@@ -126,7 +126,7 @@ class CriticalSection:
         this constructor is a measurable slice of the whole scan, so it
         skips ``__init__``'s kwargs and eager-set defaults: masks start
         at ``None`` (the walk assigns them at RELEASE) and the string
-        sets start at ``None`` (``_finalize_scan`` re-Nones them anyway
+        sets start at ``None`` (``ScanFold.finish`` re-Nones them anyway
         to decode lazily from the masks).  ``release`` starts as the
         acquire event and is patched at RELEASE, exactly like the
         reference walk does.

@@ -3,18 +3,18 @@
 :func:`scan_segments_sharded` is the parallel twin of
 :func:`repro.analysis.engine.scan_segments` for one *giant* segmented
 trace: the trace's threads are partitioned round-robin into one shard
-per worker, each worker streams the whole segment file but walks only
-its own threads' chunks (with :func:`repro.analysis.engine.walk_chunk`
-and the exact per-thread carry state the serial scan and the
-checkpoint/resume machinery use), and the parent merges the per-shard
-``TraceScan`` states and finalizes once.
+per worker, each worker streams the whole segment file but folds only
+its own threads' chunks into a :class:`repro.analysis.engine.ScanFold`
+(the fold the serial scan and the checkpoint/resume machinery use), and
+the parent merges the per-shard scans into one empty fold and finishes
+it once.
 
 Why the merge is exact:
 
 * a thread's walk — its sections, masks, anchors, body spans and error
   checks — depends only on that thread's own chunks, which live wholly
   inside one shard; concatenated shard sections hit the same global
-  ``(t_start, uid)`` sort in ``_finalize_scan`` the serial walk uses,
+  ``(t_start, uid)`` sort in ``ScanFold.finish`` the serial scan uses,
 * the only cross-thread coupling is shared-address discovery, and
   "shared" just means "touched by two or more distinct threads": a
   shard resolves sharedness among its own threads, and the parent's
@@ -43,12 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.analysis.engine import (
-    TraceScan,
-    _finalize_scan,
-    _ThreadScanState,
-    walk_chunk,
-)
+from repro.analysis.engine import ScanFold, TraceScan
 from repro.errors import TaskError, TraceError
 from repro.runner.pool import ExecPolicy, parallel_map
 from repro.trace.segments import open_segmented
@@ -63,34 +58,20 @@ def shard_threads(threads: List[str], jobs: int) -> List[Tuple[str, ...]]:
     return [shard for shard in shards if shard]
 
 
-def _scan_shard(task) -> dict:
-    """Worker body: walk one shard's threads over the whole segment file."""
+def _scan_shard(task) -> Tuple[TraceScan, Dict[int, int]]:
+    """Worker body: fold one shard's threads over the whole segment file.
+
+    Returns the unfinalized scan and its first-toucher map; the parent
+    merges shards and finalizes once.
+    """
     path, tids = task
     wanted = frozenset(tids)
     with open_segmented(path) as reader:
-        tables = reader.tables
-        lock_name = tables.locks.name
-        scan = TraceScan(tables=tables)
-        first_toucher: Dict[int, int] = {}
-        states = {tid: _ThreadScanState() for tid in tids}
+        fold = ScanFold(reader.tables, tids)
         for segment in reader.segments():
-            for chunk in segment.chunks:
-                if chunk.tid not in wanted:
-                    continue
-                scan.events += len(chunk.column.kind)
-                walk_chunk(chunk.tid, chunk.column, chunk.start, states[chunk.tid],
-                           scan, first_toucher, lock_name)
-        for tid in tids:
-            if states[tid].open_by_lock:
-                raise TraceError(f"{tid}: unclosed critical sections")
-    return {
-        "tables": tables,
-        "sections": scan.sections,
-        "shared_ids": scan.shared_ids,
-        "first_toucher": first_toucher,
-        "events": scan.events,
-        "body_spans": scan.body_spans,
-    }
+            fold.add([chunk for chunk in segment.chunks if chunk.tid in wanted])
+        fold.check_closed()
+    return fold.scan, fold.first_toucher
 
 
 def _unwrap(exc: TaskError) -> Exception:
@@ -113,6 +94,7 @@ def scan_segments_sharded(path, *, jobs: int,
     with telemetry.span("analyze.scan_sharded"):
         with open_segmented(path) as reader:
             threads = list(reader.threads)
+            tables = reader.tables
         shards = shard_threads(threads, jobs)
         if policy is None:
             policy = ExecPolicy(pin_workers=True)
@@ -123,18 +105,15 @@ def scan_segments_sharded(path, *, jobs: int,
         except TaskError as exc:
             raise _unwrap(exc) from None
 
-        merged = TraceScan(tables=results[0]["tables"])
-        first_toucher: Dict[int, int] = {}
-        for res in results:
-            merged.sections.extend(res["sections"])
-            merged.events += res["events"]
-            merged.body_spans.update(res["body_spans"])
-            merged.shared_ids.update(res["shared_ids"])
-            for aid, tid_id in res["first_toucher"].items():
-                if first_toucher.setdefault(aid, tid_id) != tid_id:
+        # a thread-less trace has no shards: its fold finishes empty
+        fold = ScanFold(results[0][0].tables if results else tables, ())
+        merged = fold.scan
+        for scan, first_toucher in results:
+            merged.sections.extend(scan.sections)
+            merged.events += scan.events
+            merged.body_spans.update(scan.body_spans)
+            merged.shared_ids.update(scan.shared_ids)
+            for aid, tid_id in first_toucher.items():
+                if fold.first_toucher.setdefault(aid, tid_id) != tid_id:
                     merged.shared_ids.add(aid)
-        _finalize_scan(merged)
-    telemetry.count("analyze.scans")
-    telemetry.count("analyze.events_scanned", merged.events)
-    telemetry.count("analyze.sections", len(merged.sections))
-    return merged
+        return fold.finish()

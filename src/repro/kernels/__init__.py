@@ -1,11 +1,12 @@
 """Kernel backend selection: vectorized (numpy) vs pure Python.
 
-The analysis hot paths — the engine scan, the write-timeline collect,
-the benign-evidence stream, the timeline lane build, the transform
-rewrite and output validation — each exist twice: the original pure
-Python walk (always available, the reference for byte-identical output)
-and a numpy twin operating directly on the interned id columns of
-:mod:`repro.trace.interning`.
+The analysis hot paths — the engine's chunk walk (the one scan kernel:
+in-memory and streaming scans both fold through it), the write-timeline
+collect, the benign-evidence stream, the timeline lane build, the
+transform rewrite and output validation — each exist twice: the
+original pure Python walk (always available, the reference for
+byte-identical output) and a numpy twin operating directly on the
+interned id columns of :mod:`repro.trace.interning`.
 
 This module picks between them:
 

@@ -1,4 +1,4 @@
-"""Vectorized engine scan: numpy twin of ``analysis.engine`` walks.
+"""Vectorized engine scan: numpy twin of ``analysis.engine`` chunk walk.
 
 The walk itself stays sparse — critical-section open/close is a Python
 loop, but only over the *lock events* (``flatnonzero`` of the kind
@@ -16,12 +16,12 @@ access-set bitmasks — runs as array operations:
 
 Byte-equivalence contract: identical sections (uids, anchors, masks,
 bodies/spans), identical ``TraceError`` messages raised at the same
-first offending lock event, identical ``TraceScan`` fields.
+first offending lock event, identical ``TraceScan`` fields.  There is
+one kernel, :func:`walk_chunk`: an in-memory core is scanned as one
+whole-column chunk per thread.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -51,98 +51,16 @@ def _discover_shared(aid, r_pos, w_pos, tid_id, first_toucher, shared_ids):
             shared_ids.add(a)
 
 
-def scan_core(core, scan, first_toucher: Dict[int, int]) -> None:
-    """Vectorized body of ``engine._scan_trace`` (before finalize)."""
-    tables = core.tables
-    lock_name = tables.locks.name
-    sections = scan.sections
-    shared_ids = scan.shared_ids
-
-    for tid, column in core.columns.items():
-        n = len(column.kind)
-        scan.events += n
-        if not n:
-            continue
-        k = np.frombuffer(column.kind, dtype=np.int8)
-        aid = np.frombuffer(column.addr_id, dtype=np.int32)
-        kinds = column.kind
-        lock_ids = column.lock_id
-        uids = column.uids
-        view = core.threads[tid]
-        tid_id = column.tid_id
-
-        r_pos = np.flatnonzero(k == READ_CODE)
-        w_pos = np.flatnonzero(k == WRITE_CODE)
-        _discover_shared(aid, r_pos, w_pos, tid_id, first_toucher, shared_ids)
-
-        lock_pos = np.flatnonzero((k == ACQUIRE_CODE) | (k == RELEASE_CODE))
-        if not len(lock_pos):
-            continue
-        # span masks iterate Python lists: indexing numpy slices yields
-        # boxed scalars, which on the typical tiny inter-lock span costs
-        # more than the whole vectorized split saved
-        r_aid = aid[r_pos].tolist()
-        w_aid = aid[w_pos].tolist()
-        r_cut = np.searchsorted(r_pos, lock_pos).tolist()
-        w_cut = np.searchsorted(w_pos, lock_pos).tolist()
-
-        open_by_lock: Dict[int, CriticalSection] = {}
-        stack = []
-        read_masks = []
-        write_masks = []
-        rk = wk = 0
-        for j, i in enumerate(lock_pos.tolist()):
-            cr = r_cut[j]
-            cw = w_cut[j]
-            if stack:
-                if cr > rk:
-                    m = mask_from_ids(r_aid[rk:cr], np)
-                    read_masks[:] = [x | m for x in read_masks]
-                if cw > wk:
-                    m = mask_from_ids(w_aid[wk:cw], np)
-                    write_masks[:] = [x | m for x in write_masks]
-            rk = cr
-            wk = cw
-            lid = lock_ids[i]
-            if kinds[i] == ACQUIRE_CODE:
-                if lid in open_by_lock:
-                    raise TraceError(
-                        f"{tid}: nested acquire of same lock {lock_name(lid)}"
-                    )
-                cs = CriticalSection._open(
-                    uids[i], tid, lock_name(lid), view[i],
-                    uids[i - 1] if i > 0 else None,
-                )
-                cs._body_source = (view, i + 1, i + 1)  # end patched at RELEASE
-                open_by_lock[lid] = cs
-                stack.append(cs)
-                read_masks.append(0)
-                write_masks.append(0)
-                sections.append(cs)
-            else:
-                cs = open_by_lock.pop(lid, None)
-                if cs is None:
-                    raise TraceError(f"{tid}: release of unheld {lock_name(lid)}")
-                depth = stack.index(cs)
-                stack.pop(depth)
-                cs.read_mask = read_masks.pop(depth)
-                cs.write_mask = write_masks.pop(depth)
-                cs.release = view[i]
-                cs._body_source = (view, cs._body_source[1], i)
-                if i + 1 < n:
-                    cs.post_anchor = uids[i + 1]
-        if open_by_lock:
-            raise TraceError(f"{tid}: unclosed critical sections")
-
-
-def walk_chunk(tid, column, base, st, scan, first_toucher, lock_name) -> None:
-    """Vectorized twin of the per-chunk walk in ``engine.scan_segments``.
+def walk_chunk(tid, column, base, st, scan, first_toucher, lock_name,
+               view) -> None:
+    """Vectorized twin of ``engine._walk_chunk_py``.
 
     ``st`` is the thread's carried ``_ThreadScanState``; masks of
     sections still open from earlier chunks keep accumulating here
     (head span before the chunk's first lock event, tail span after its
-    last).  The caller accounts ``scan.events`` and runs the end-of-
-    stream unclosed check.
+    last).  ``view`` is the thread's whole-thread event view or ``None``
+    (see ``engine.ScanFold``).  The caller accounts ``scan.events`` and
+    runs the end-of-stream unclosed check.
     """
     n = len(column.kind)
     if not n:
@@ -196,11 +114,17 @@ def walk_chunk(tid, column, base, st, scan, first_toucher, lock_name) -> None:
                         f"{tid}: nested acquire of same lock "
                         f"{lock_name(lid)}"
                     )
-                cs = CriticalSection._open(
-                    uids[i], tid, lock_name(lid), column.event(i),
-                    uids[i - 1] if i > 0 else st.last_uid,
-                )
-                body_spans[cs.uid] = (tid, base + i + 1, base + i + 1)
+                pre = uids[i - 1] if i else st.last_uid
+                if view is None:
+                    cs = CriticalSection._open(
+                        uids[i], tid, lock_name(lid), column.event(i), pre,
+                    )
+                    body_spans[cs.uid] = (tid, base + i + 1, base + i + 1)
+                else:
+                    cs = CriticalSection._open(
+                        uids[i], tid, lock_name(lid), view[base + i], pre,
+                    )
+                    cs._body_source = (view, base + i + 1, base + i + 1)
                 open_by_lock[lid] = cs
                 stack.append(cs)
                 read_masks.append(0)
@@ -216,9 +140,12 @@ def walk_chunk(tid, column, base, st, scan, first_toucher, lock_name) -> None:
                 stack.pop(depth)
                 cs.read_mask = read_masks.pop(depth)
                 cs.write_mask = write_masks.pop(depth)
-                cs.release = column.event(i)
-                span = body_spans[cs.uid]
-                body_spans[cs.uid] = (tid, span[1], base + i)
+                if view is None:
+                    cs.release = column.event(i)
+                    body_spans[cs.uid] = (tid, body_spans[cs.uid][1], base + i)
+                else:
+                    cs.release = view[base + i]
+                    cs._body_source = (view, cs._body_source[1], base + i)
                 if i + 1 < n:
                     cs.post_anchor = uids[i + 1]
                 else:

@@ -1,16 +1,16 @@
 """Incremental segment fold: live analysis state + deterministic snapshots.
 
-One :class:`IncrementalFold` owns exactly the state
-:func:`repro.analysis.engine.scan_segments` would carry mid-stream — the
-growing :class:`~repro.analysis.engine.TraceScan`, the first-toucher
-sharedness map and the per-thread walk states — but is *fed* segments by
-a caller (a :class:`repro.trace.segments.SegmentTail` poll loop, a
-recorder-side ``on_segment`` hook, or a plain strict reader) instead of
-pulling them.  After every folded segment it can emit a **snapshot**: a
-versioned, JSON-serializable progress record whose bytes depend only on
-the trace prefix folded so far — never on wall-clock time, poll
-batching, or the kernel backend (numpy and pure python walks are
-byte-equivalent by construction).
+One :class:`IncrementalFold` owns a
+:class:`~repro.analysis.engine.ScanFold` — exactly the state
+:func:`repro.analysis.engine.scan_segments` carries mid-stream — and is
+fed segments by a caller (a :class:`repro.trace.segments.SegmentTail`
+poll loop, a recorder-side ``on_segment`` hook, or
+:func:`run_with_progress`'s ``scan_segments`` loop).  After every
+folded segment it can emit a **snapshot**: a versioned,
+JSON-serializable progress record whose bytes depend only on the trace
+prefix folded so far — never on wall-clock time, poll batching, or the
+kernel backend (numpy and pure python walks are byte-equivalent by
+construction).
 
 Snapshot semantics
 ------------------
@@ -44,12 +44,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.analysis.engine import (
-    TraceScan,
-    _finalize_scan,
-    _ThreadScanState,
-    walk_chunk,
-)
+from repro.analysis.engine import ScanFold
 from repro.analysis.streaming import assemble_analysis, count_analysis
 from repro.analysis.ulcp import (
     DISJOINT_WRITE,
@@ -94,24 +89,21 @@ def _classify_masks(srd1: int, swr1: int, srd2: int, swr2: int) -> Optional[str]
 
 
 class IncrementalFold:
-    """Folds segments into live scan state; emits deterministic snapshots.
+    """A :class:`~repro.analysis.engine.ScanFold` plus deterministic
+    snapshots.
 
     ``reader`` is anything header-complete with ``threads`` and
     ``tables`` attributes (a :class:`~repro.trace.segments.SegmentedReader`
     or a header-ready :class:`~repro.trace.segments.SegmentTail`).
+    ``scan_fold`` is the live scan state; its checkpoint payload is the
+    one :func:`~repro.analysis.engine.scan_segments` saves, so a watch
+    checkpoint resumes a later batch ``repro analyze --resume`` with zero
+    redone segments.
     """
 
     def __init__(self, reader, *, top_k: int = DEFAULT_TOP_K):
-        self.reader = reader
         self.top_k = top_k
-        self.tables = reader.tables
-        self._lock_name = self.tables.locks.name
-        self.scan = TraceScan(tables=self.tables)
-        self.first_toucher: Dict[int, int] = {}
-        self.states: Dict[str, _ThreadScanState] = {
-            tid: _ThreadScanState() for tid in reader.threads
-        }
-        self.segments_folded = 0
+        self.scan_fold = ScanFold(reader.tables, reader.threads)
         self.seq = 0
         self.prev_top: Optional[List[str]] = None
         self.stable_for = 0
@@ -119,40 +111,17 @@ class IncrementalFold:
 
     # ------------------------------------------------------------- folding
 
-    def restore(self, scan, first_toucher, states, segments_done: int) -> None:
-        """Adopt a checkpointed mid-scan state (see
-        :func:`repro.analysis.engine._restore_scan`); the reader must
-        already be fast-forwarded to the matching position."""
-        self.scan = scan
-        self.first_toucher = first_toucher
-        self.states = states
-        self.segments_folded = segments_done
-        self.tables = self.reader.tables
-        self._lock_name = self.tables.locks.name
-
     def add(self, segment) -> None:
         """Fold one decoded segment into the live scan state."""
         if self.finished:
             raise TraceError("fold already finished; open a new one")
-        for chunk in segment.chunks:
-            self.scan.events += len(chunk.column.kind)
-            walk_chunk(chunk.tid, chunk.column, chunk.start,
-                       self.states[chunk.tid], self.scan,
-                       self.first_toucher, self._lock_name)
-        self.segments_folded += 1
+        self.scan_fold.add(segment.chunks)
         telemetry.count("analyze.segments_folded")
 
-    def suspend_payload(self) -> dict:
-        """The exact checkpoint payload shape
-        :func:`~repro.analysis.engine.scan_segments` saves, so a watch
-        checkpoint resumes a later batch ``repro analyze --resume`` with
-        zero redone segments."""
-        return {
-            "scan": self.scan,
-            "first_toucher": self.first_toucher,
-            "states": self.states,
-            "reader": self.reader.suspend(),
-        }
+    @property
+    def segments_folded(self) -> int:
+        """Segments the scan state covers (checkpoint-resumed included)."""
+        return self.scan_fold.segments
 
     # ----------------------------------------------------------- snapshots
 
@@ -172,7 +141,7 @@ class IncrementalFold:
         Pure over the scan state (no section is mutated), but advances
         the fold's snapshot sequence number and stability counter — call
         exactly once per folded epoch."""
-        scan = self.scan
+        scan = self.scan_fold.scan
         shared_mask = 0
         for aid in scan.shared_ids:
             shared_mask |= 1 << aid
@@ -254,16 +223,15 @@ class IncrementalFold:
         """
         if self.finished:
             raise TraceError("fold already finished; open a new one")
-        for tid, st in self.states.items():
-            if st.open_by_lock:
-                raise TraceError(f"{tid}: unclosed critical sections")
-        _finalize_scan(self.scan)
-        telemetry.count("analyze.scans")
-        telemetry.count("analyze.events_scanned", self.scan.events)
-        telemetry.count("analyze.sections", len(self.scan.sections))
+        return self._complete(path, self.scan_fold.finish(),
+                              benign_detection=benign_detection)
+
+    def _complete(self, path, scan, *, benign_detection: bool):
+        """The terminal step of :meth:`finish` over an already finished
+        ``scan`` of this fold."""
         with telemetry.span("analyze.pairs"):
             analysis, benign_tests = assemble_analysis(
-                path, self.scan, benign_detection=benign_detection
+                path, scan, benign_detection=benign_detection
             )
         count_analysis(analysis, benign_tests)
         self.finished = True
@@ -376,28 +344,22 @@ def run_with_progress(path, *, benign_detection: bool = True,
     fast-forwards exactly like batch analysis; snapshots then cover only
     the newly scanned tail.
     """
-    from repro.analysis.engine import _restore_scan
+    from repro.analysis.engine import scan_segments
     from repro.trace.segments import open_segmented
 
     with telemetry.span("analyze.fold_segments"):
         with open_segmented(path) as reader:
             fold = IncrementalFold(reader, top_k=top_k)
-            if checkpoint is not None:
-                restored = _restore_scan(reader, checkpoint)
-                if restored is not None:
-                    scan, first_toucher, states, start_at = restored
-                    fold.restore(scan, first_toucher, states, start_at)
-                    telemetry.count("analyze.segments_resumed", start_at)
-            for segment in reader.segments():
-                fold.add(segment)
+
+            def on_segment() -> None:
+                telemetry.count("analyze.segments_folded")
                 if on_progress is not None:
                     on_progress(fold.snapshot())
-                if (checkpoint is not None
-                        and checkpoint.due(fold.segments_folded)):
-                    checkpoint.save(fold.suspend_payload(),
-                                    fold.segments_folded)
-        analysis, terminal = fold.finish(
-            path, benign_detection=benign_detection
+
+            scan = scan_segments(reader, checkpoint=checkpoint,
+                                 fold=fold.scan_fold, on_segment=on_segment)
+        analysis, terminal = fold._complete(
+            path, scan, benign_detection=benign_detection
         )
         if checkpoint is not None:
             checkpoint.clear()

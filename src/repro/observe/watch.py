@@ -116,9 +116,8 @@ def watch(
     def save_checkpoint(ck) -> None:
         """Checkpoint at the *fold* position: the tail may have parsed
         ahead, so the reader state comes from the matching boundary."""
-        payload = fold.suspend_payload()
-        payload["reader"] = tail.suspend_at(fold.segments_folded)
-        ck.save(payload, fold.segments_folded)
+        done = fold.segments_folded
+        ck.save(fold.scan_fold.payload(tail.suspend_at(done)), done)
 
     with tail:
         while True:

@@ -1,6 +1,5 @@
-"""Race detection: Eraser-style locksets and happens-before vector clocks."""
+"""Race detection: happens-before vector clocks."""
 
-from repro.races.eraser import EraserDetector, RaceReport, eraser_races
 from repro.races.happens_before import (
     HbRace,
     VectorClock,
@@ -9,9 +8,6 @@ from repro.races.happens_before import (
 )
 
 __all__ = [
-    "EraserDetector",
-    "RaceReport",
-    "eraser_races",
     "VectorClock",
     "HbRace",
     "happens_before_races",

@@ -131,3 +131,47 @@ def test_random_programs_equivalent(program_specs):
     programs = [build_program(sections) for sections in program_specs]
     trace = record([p() for p in programs]).trace
     assert_equivalent(trace)
+
+
+# ------------------------------------- in-memory scan identity/laziness
+
+
+@pytest.mark.parametrize("backend", ("numpy", "python"))
+def test_in_memory_scan_keeps_core_events_lazy(tmp_path, backend):
+    """The whole-core scan is the chunk walk over the core's own views:
+    sections hold the views' event objects, bodies stay lazy slices of
+    them, no body span is recorded, and only acquire/release events
+    materialize."""
+    from repro import kernels
+    from repro.analysis.engine import scan_trace
+    from repro.trace.segments import load_segmented_columnar, write_segmented
+
+    if backend == "numpy" and not kernels.HAVE_NUMPY:
+        pytest.skip("numpy not installed")
+    trace = get_workload("mixed-bag", threads=4, seed=2, scale=0.5).record().trace
+    path = tmp_path / "t.seg.jsonl.gz"
+    write_segmented(trace, path, segment_events=256)
+    previous = kernels.backend()
+    kernels.set_backend(backend)
+    try:
+        core = load_segmented_columnar(path)  # fresh: nothing materialized
+        scan = scan_trace(core)
+    finally:
+        kernels.set_backend(previous)
+
+    views = core.threads
+    assert scan.sections
+    assert scan.body_spans == {}
+    materialized = sum(len(view) - view._missing for view in views.values())
+    assert materialized == 2 * len(scan.sections)
+
+    slots = {
+        tid: {uid: i for i, uid in enumerate(column.uids)}
+        for tid, column in core.columns.items()
+    }
+    for cs in scan.sections:
+        view = views[cs.tid]
+        start, end = slots[cs.tid][cs.uid], slots[cs.tid][cs.release.uid]
+        assert cs.acquire is view[start]
+        assert cs.release is view[end]
+        assert cs.body == view[start + 1:end]

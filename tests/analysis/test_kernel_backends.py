@@ -248,6 +248,28 @@ def test_sharded_scan_records_affinity_gauge(tmp_path):
     )
 
 
+def test_sharded_scan_of_threadless_trace(tmp_path):
+    """No threads means no shards: ``jobs=2`` still returns the empty
+    analysis, byte for byte what the serial streaming scan renders."""
+    from repro import api
+    from repro.options import AnalyzeOptions
+    from repro.serve import protocol
+    from repro.trace.trace import Trace
+
+    path = tmp_path / "empty.seg.jsonl.gz"
+    write_segmented(Trace(meta=TraceMeta(name="empty")), path)
+
+    def envelope(options):
+        analysis = api.analyze(path, options)
+        return protocol.wire_dumps(
+            protocol.ok_envelope(protocol.analyze_result(analysis))
+        )
+
+    assert envelope(AnalyzeOptions(jobs=2)) == envelope(
+        AnalyzeOptions(stream=True)
+    )
+
+
 def test_analyze_facade_jobs_needs_segmented_file():
     from repro import api
 

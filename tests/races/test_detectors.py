@@ -1,7 +1,7 @@
-"""Tests for the Eraser and happens-before race detectors."""
+"""Tests for the happens-before race detector."""
 
 from repro.analysis import transform
-from repro.races import eraser_races, happens_before_races, transformed_trace_races
+from repro.races import happens_before_races, transformed_trace_races
 from repro.races.happens_before import VectorClock
 from repro.record import record
 from repro.sim import Acquire, Compute, Read, Release, SetFlag, AwaitFlag, Store, Write
@@ -35,54 +35,6 @@ class TestVectorClock:
         a = VectorClock({"t0": 1})
         b = VectorClock({"t1": 1})
         assert not a.happens_before(b) or not b.happens_before(a)
-
-
-class TestEraser:
-    def test_locked_accesses_are_clean(self):
-        def prog(val, delay):
-            yield Compute(delay)
-            yield Acquire(lock="L")
-            yield Write("x", op=Store(val))
-            yield Release(lock="L")
-
-        assert eraser_races(rec(prog(1, 0), prog(2, 50))) == []
-
-    def test_unlocked_conflicting_writes_race(self):
-        def prog(val, delay):
-            yield Compute(delay)
-            yield Write("x", op=Store(val))
-
-        races = eraser_races(rec(prog(1, 0), prog(2, 50)))
-        assert len(races) == 1
-        assert races[0].addr == "x"
-
-    def test_read_only_sharing_is_clean(self):
-        def prog(delay):
-            yield Compute(delay)
-            yield Read("x")
-
-        assert eraser_races(rec(prog(0), prog(50))) == []
-
-    def test_inconsistent_locks_race(self):
-        # Eraser refines the candidate lockset only after leaving the
-        # exclusive state, so the empty intersection shows at the third
-        # access: {B} (t1's) ∩ {A} (t0's second write) = {}.
-        def prog(lock, delays):
-            for delay in delays:
-                yield Compute(delay)
-                yield Acquire(lock=lock)
-                yield Write("x", op=Store(1))
-                yield Release(lock=lock)
-
-        races = eraser_races(rec(prog("A", [0, 100]), prog("B", [50])))
-        assert len(races) == 1
-
-    def test_exclusive_phase_never_races(self):
-        def prog():
-            for i in range(5):
-                yield Write("x", op=Store(i))
-
-        assert eraser_races(rec(prog())) == []
 
 
 class TestHappensBefore:

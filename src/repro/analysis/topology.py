@@ -14,7 +14,10 @@ way the original execution did.
 The construction is index-accelerated: for each (lock, thread, address)
 we keep the sorted lock-order positions of sections reading/writing that
 address, so "first conflicting section after position i" is a bisect, not
-a scan.
+a scan.  Candidates are judged by *body class* (their interned memory-op
+signature): a section's verdict against one class holds for every
+candidate of it, and a benign class's run along a position list is
+stepped over at once.
 """
 
 from __future__ import annotations
@@ -95,12 +98,17 @@ class _LockIndex:
     """Per-lock acceleration structure for RULE 1's sequential searching."""
 
     def __init__(self, sections: List[CriticalSection]):
-        self.sections = sections  # in acquisition order
         self.by_thread: Dict[str, List[CriticalSection]] = {}
         # (tid, addr) -> sorted lock_index positions of write / any access
         self.write_pos: Dict[Tuple[str, str], List[int]] = {}
         self.access_pos: Dict[Tuple[str, str], List[int]] = {}
         self.by_index: Dict[int, CriticalSection] = {}
+        self._classes: Dict[tuple, int] = {}  # body signature -> class
+        self._class_at: Dict[int, int] = {}  # lock_index -> body class
+        # (tid, addr) -> run ends of the matching position list, built on
+        # the first skip along that list
+        self._write_ends: Dict[Tuple[str, str], List[int]] = {}
+        self._access_ends: Dict[Tuple[str, str], List[int]] = {}
         for cs in sections:
             self.by_thread.setdefault(cs.tid, []).append(cs)
             self.by_index[cs.lock_index] = cs
@@ -113,28 +121,67 @@ class _LockIndex:
             for addr in cs.srd_only_keys():
                 self.access_pos.setdefault((cs.tid, addr), []).append(cs.lock_index)
 
+    def body_class(self, position: int) -> int:
+        """The interned memory-op signature of the section at ``position``."""
+        klass = self._class_at.get(position)
+        if klass is None:
+            signature = tuple(
+                (e.kind, e.addr, e.op) for e in self.by_index[position].memory_ops()
+            )
+            klass = self._classes.setdefault(signature, len(self._classes))
+            self._class_at[position] = klass
+        return klass
+
+    def _next(self, table, ends, key, after_index: int, skip: Optional[int]):
+        """First position of ``table[key]`` past ``after_index``, stepping
+        over a leading run of class ``skip``; None when the list runs out."""
+        positions = table.get(key)
+        if not positions:
+            return None
+        i = bisect.bisect_right(positions, after_index)
+        if (
+            skip is not None
+            and i < len(positions)
+            and self.body_class(positions[i]) == skip
+        ):
+            run_ends = ends.get(key)
+            if run_ends is None:
+                # run_ends[j]: index of the first position whose class
+                # differs from position j's
+                classes = [self.body_class(p) for p in positions]
+                run_ends = [len(positions)] * len(positions)
+                for j in range(len(positions) - 2, -1, -1):
+                    same = classes[j] == classes[j + 1]
+                    run_ends[j] = run_ends[j + 1] if same else j + 1
+                ends[key] = run_ends
+            i = run_ends[i]
+        return positions[i] if i < len(positions) else None
+
     def first_conflict_after(
-        self, cs: CriticalSection, tid: str, after_index: int
+        self,
+        cs: CriticalSection,
+        tid: str,
+        after_index: int,
+        skip: Optional[int] = None,
     ) -> Optional[CriticalSection]:
-        """First section of ``tid`` past ``after_index`` whose sets collide."""
+        """First section of ``tid`` past ``after_index`` whose sets collide.
+
+        With ``skip``, sections of that body class are passed over: the
+        caller has judged the class benign against ``cs``, and every
+        skipped section collides with ``cs``, so it is a benign candidate
+        the sequential search would have passed over one by one.
+        """
         best: Optional[int] = None
         for addr in cs.swr_keys():
-            for table in (self.access_pos,):
-                positions = table.get((tid, addr))
-                if positions:
-                    i = bisect.bisect_right(positions, after_index)
-                    if i < len(positions):
-                        pos = positions[i]
-                        if best is None or pos < best:
-                            best = pos
+            pos = self._next(self.access_pos, self._access_ends, (tid, addr),
+                             after_index, skip)
+            if pos is not None and (best is None or pos < best):
+                best = pos
         for addr in cs.srd_keys():
-            positions = self.write_pos.get((tid, addr))
-            if positions:
-                i = bisect.bisect_right(positions, after_index)
-                if i < len(positions):
-                    pos = positions[i]
-                    if best is None or pos < best:
-                        best = pos
+            pos = self._next(self.write_pos, self._write_ends, (tid, addr),
+                             after_index, skip)
+            if pos is not None and (best is None or pos < best):
+                best = pos
         if best is None:
             return None
         return self.by_index[best]
@@ -156,6 +203,8 @@ def build_topology(
     string sets).  ``timeline`` / ``benign_cache`` let a caller share the
     pair analysis's write timeline and already-computed benign verdicts —
     every pair the classifier judged FALSE skips its reversed replay here.
+    ``benign_cache`` is only read: RULE 1 keeps its own verdicts per
+    section and candidate body class, for the length of this call.
     """
     topology = Topology()
     for cs in sections:
@@ -166,31 +215,33 @@ def build_topology(
     if benign_cache is None:
         benign_cache = {}
 
-    def tlcp(first: CriticalSection, second: CriticalSection) -> bool:
-        """A true conflict that the reversed replay cannot excuse as benign."""
-        if not benign_detection:
-            return True
-        key = (first.uid, second.uid)
-        if key not in benign_cache:
-            benign_cache[key] = is_benign(first, second, timeline)
-        return not benign_cache[key]
-
     for lock_sections in sections_by_lock(sections).values():
         index = _LockIndex(lock_sections)
         threads = list(index.by_thread)
         for cs in lock_sections:
+            verdicts: Dict[int, bool] = {}  # candidate body class -> benign
             for tid in threads:
                 if tid == cs.tid:
                     continue
                 cursor = cs.lock_index
+                skip: Optional[int] = None
                 while True:
-                    candidate = index.first_conflict_after(cs, tid, cursor)
+                    candidate = index.first_conflict_after(cs, tid, cursor, skip)
                     if candidate is None:
                         break
-                    if tlcp(cs, candidate):
-                        topology.add_edge(cs.uid, candidate.uid, CAUSAL)
-                        break
-                    cursor = candidate.lock_index  # benign: keep searching
+                    if benign_detection:
+                        skip = index.body_class(candidate.lock_index)
+                        benign = verdicts.get(skip)
+                        if benign is None:
+                            benign = benign_cache.get((cs.uid, candidate.uid))
+                            if benign is None:
+                                benign = is_benign(cs, candidate, timeline)
+                            verdicts[skip] = benign
+                        if benign:
+                            cursor = candidate.lock_index  # keep searching
+                            continue
+                    topology.add_edge(cs.uid, candidate.uid, CAUSAL)
+                    break
 
         if order_edges:
             causal_nodes = [

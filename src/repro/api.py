@@ -42,6 +42,7 @@ import warnings
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.analysis.engine import scan_trace
 from repro.analysis.pairs import PairAnalysis, analyze_pairs
 from repro.analysis.transform import TransformResult
 from repro.analysis.transform import transform as _transform_trace
@@ -424,6 +425,12 @@ def transform(
     trace (and, with ``full=True``, for ``result.original``).  When an
     earlier :func:`analyze` of the same path still holds its decoded
     core, that core — and the scan memoized on it — is reused.
+
+    An ``analysis`` option is reused only when it was computed in memory
+    over this very trace (its sections are the scan memoized on the
+    trace's core).  Any other analysis — a streamed one, whose sections
+    keep no bodies, or one over another load of the file — is ignored
+    and the trace is re-analyzed.
     """
     from repro.trace import segments as _segments
 
@@ -432,6 +439,11 @@ def transform(
             source = _segments.load_segmented_columnar(trace)
         else:
             source = _coerce_trace(trace)
+        analysis = options.get("analysis")
+        if analysis is not None and (
+            scan_trace(source.columnar()).sections is not analysis.sections
+        ):
+            options["analysis"] = None
         result = _transform_trace(source, **options)
     # the columnar route and the numpy rewrite yield ColumnarTraces; the
     # facade contract is a plain, independently mutable Trace

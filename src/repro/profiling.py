@@ -20,8 +20,7 @@ from repro import kernels, telemetry
 from repro.analysis.benign import WriteTimeline, is_benign
 from repro.analysis.classify import FALSE, classify_pair
 from repro.analysis.engine import scan_trace
-from repro.analysis.pairs import PairAnalysis
-from repro.analysis.sections import sections_by_lock
+from repro.analysis.pairs import PairAnalysis, iter_candidate_pairs
 from repro.analysis.transform import TransformResult, transform
 from repro.analysis.ulcp import BENIGN, TLCP, UlcpPair
 from repro.replay.replayer import Replayer
@@ -123,13 +122,10 @@ def profile_pipeline(
     # pair enumeration + Algorithm 1, with the benign replays deferred so
     # the two phases time separately (analyze_pairs interleaves them)
     def classify_stage():
-        ordered = []
-        for lock_sections in sections_by_lock(scan.sections).values():
-            for first, second in zip(lock_sections, lock_sections[1:]):
-                if first.tid == second.tid:
-                    continue
-                ordered.append((first, second, classify_pair(first, second)))
-        return ordered
+        return [
+            (first, second, classify_pair(first, second))
+            for first, second in iter_candidate_pairs(scan.sections)
+        ]
 
     classified = timed("classify", classify_stage)
     report.pairs = len(classified)

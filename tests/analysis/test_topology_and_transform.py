@@ -11,7 +11,9 @@ all under one lock L, with staggers pinning the acquisition order to
 """
 
 import pytest
+from hypothesis import given, settings
 
+from repro import api
 from repro.analysis import (
     CAUSAL,
     build_resync_plan,
@@ -23,9 +25,25 @@ from repro.analysis import (
     shared_addresses,
     transform,
 )
-from repro.sim import Acquire, Compute, Read, Release, Store, Write
+from repro.analysis import topology as topology_module
+from repro.analysis.benign import WriteTimeline, is_benign
+from repro.analysis.pairs import analyze_pairs
+from repro.analysis.reference import analyze_pairs_reference
+from repro.analysis.sections import sections_by_lock
+from repro.options import AnalyzeOptions
+from repro.record import record
+from repro.sim import Acquire, Add, Compute, Read, Release, Store, Write
+from repro.sim.requests import decode_op
+from repro.trace import dumps
 from repro.trace.events import ACQUIRE, CS_ENTER, CS_EXIT, RELEASE
+from repro.trace.segments import write_segmented
+from repro.workloads import get_workload
 from tests.analysis.helpers import record_programs, site
+from tests.analysis.test_engine_equivalence import (
+    WORKLOADS,
+    build_program,
+    program_set_strategy,
+)
 
 
 def _cs(lock, events, line):
@@ -240,3 +258,131 @@ class TestTransform:
         result = transform(figure7_trace())
         assert len(result.sections) == 6
         assert result.removed_sections == 2
+
+
+# ------------------------------------------------ RULE 1 against a literal walk
+
+
+def literal_rule1(sections, timeline):
+    """RULE 1 spelled out: for each section and each other thread, scan
+    that thread's sections of the lock in acquisition order and take the
+    first colliding one that the reversed replay does not excuse."""
+    edges = set()
+    for lock_sections in sections_by_lock(sections).values():
+        threads = {cs.tid for cs in lock_sections}
+        for cs in lock_sections:
+            for tid in threads - {cs.tid}:
+                for other in lock_sections:
+                    if (
+                        other.tid == tid
+                        and other.lock_index > cs.lock_index
+                        and cs.conflicts_with(other)
+                        and not is_benign(cs, other, timeline)
+                    ):
+                        edges.add((cs.uid, other.uid))
+                        break
+    return edges
+
+
+def assert_rule1_matches_literal_walk(trace):
+    """Engine (mask) and reference (string-set) sections alike."""
+    for analysis in (analyze_pairs(trace), analyze_pairs_reference(trace)):
+        expected = literal_rule1(analysis.sections, WriteTimeline(trace))
+        topology = transform(trace, analysis=analysis).topology
+        assert set(topology.causal_edges()) == expected
+
+
+def alternating_classes_trace():
+    """One lock, two threads.  t0's sections all come first and add 3 to
+    x; t1's follow: two alternating commuting classes (add 1 / add 2,
+    benign against t0), a long run of one of them, one of the other, a
+    store (a true conflict), then more of the other class."""
+
+    def t0():
+        for i in range(20):
+            yield from _cs("L", [Write("x", op=Add(3), site=site(11))], 10)
+
+    def t1():
+        yield Compute(1000)
+        body = ["p", "q"] * 10 + ["p"] * 30 + ["q", "store"] + ["q"] * 10
+        for kind in body:
+            if kind == "store":
+                op, line = Store(5), 40
+            else:
+                op, line = Add(1 if kind == "p" else 2), 20 if kind == "p" else 30
+            yield from _cs("L", [Write("x", op=op, site=site(line + 1))], line)
+
+    return record_programs(t0(), t1())
+
+
+class TestRule1Oracle:
+    @settings(max_examples=40, deadline=None)
+    @given(program_set_strategy)
+    def test_random_programs(self, program_specs):
+        programs = [build_program(sections) for sections in program_specs]
+        assert_rule1_matches_literal_walk(record([p() for p in programs]).trace)
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    @pytest.mark.parametrize("threads", (2, 4))
+    def test_synthetic_workloads(self, workload, seed, threads):
+        spec = get_workload(workload, threads=threads, seed=seed, scale=0.5)
+        assert_rule1_matches_literal_walk(spec.record().trace)
+
+    @pytest.mark.parametrize("name", ("fluidanimate", "dedup", "mysql"))
+    def test_paper_workloads(self, name):
+        spec = get_workload(name, threads=2, scale=0.25)
+        assert_rule1_matches_literal_walk(spec.record().trace)
+
+    def test_alternating_classes_with_long_benign_runs(self):
+        trace = alternating_classes_trace()
+        assert_rule1_matches_literal_walk(trace)
+        # every t0 section's edge lands on t1's store, past 51 benign ones
+        analysis = analyze_pairs(trace)
+        topology = transform(trace, analysis=analysis).topology
+        store = next(cs for cs in analysis.sections
+                     if decode_op(cs.memory_ops()[0].op) == Store(5))
+        t0_sections = [cs for cs in analysis.sections if cs.tid == "t0"]
+        assert len(t0_sections) == 20
+        assert all(store.uid in topology.succs(cs.uid) for cs in t0_sections)
+
+    def test_benign_calls_bounded_by_classes(self, monkeypatch):
+        trace = alternating_classes_trace()
+        analysis = analyze_pairs(trace)
+        calls = []
+        real = topology_module.is_benign
+
+        def counting(c1, c2, timeline):
+            calls.append((c1.uid, c2.uid))
+            return real(c1, c2, timeline)
+
+        monkeypatch.setattr(topology_module, "is_benign", counting)
+        cache_before = dict(analysis.benign_cache)
+        transform(trace, analysis=analysis)
+        classes = {
+            tuple((e.kind, e.addr, e.op) for e in cs.memory_ops())
+            for cs in analysis.sections
+        }
+        assert len(classes) == 4
+        t0_sections = sum(1 for cs in analysis.sections if cs.tid == "t0")
+        t1_sections = len(analysis.sections) - t0_sections
+        # a candidate-by-candidate walk replays 20 x 52 pairs
+        assert len(calls) <= len(analysis.sections) * len(classes)
+        assert len(calls) < t0_sections * t1_sections
+        # RULE 1 reads the pair verdicts, never adds to them
+        assert analysis.benign_cache == cache_before
+
+
+def test_api_transform_ignores_streamed_analysis(tmp_path):
+    trace = api.record("mysql", threads=3, input_size="simsmall", scale=0.4, seed=1)
+    path = tmp_path / "t.seg.jsonl.gz"
+    write_segmented(trace, path, segment_events=37)
+    streamed = api.analyze(path, options=AnalyzeOptions(stream=True))
+    assert streamed.core is None
+    assert dumps(api.transform(path, analysis=streamed)) == dumps(api.transform(path))
+
+
+def test_api_transform_reuses_in_memory_analysis():
+    trace = figure7_trace()
+    analysis = api.analyze(trace)
+    assert api.transform(trace, analysis=analysis, full=True).analysis is analysis

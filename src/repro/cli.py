@@ -925,7 +925,7 @@ def cmd_serve(args) -> int:
             port=args.port,
             policy=policy,
             max_workers=args.workers,
-            keep_jobs=args.keep_jobs,
+            keep_mb=args.keep_mb,
             max_body_mb=args.max_body_mb,
             sync_timeout=args.sync_timeout,
             spool_dir=args.spool_dir,
@@ -1274,9 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port, 0 = any free port (default: %(default)s)")
     p.add_argument("--workers", type=int, default=16,
                    help="job-manager worker threads (default: %(default)s)")
-    p.add_argument("--keep-jobs", type=int, default=512, metavar="N",
-                   help="finished jobs retained for polling "
-                        "(default: %(default)s)")
+    p.add_argument("--keep-mb", type=float, default=64.0, metavar="MB",
+                   help="byte budget of the finished jobs retained for "
+                        "polling, oldest evicted first (default: %(default)s)")
     p.add_argument("--max-body-mb", type=float, default=64.0, metavar="MB",
                    help="largest accepted request body (default: %(default)s)")
     p.add_argument("--sync-timeout", type=float, default=600.0,

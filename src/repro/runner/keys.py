@@ -66,12 +66,24 @@ def trace_digest(trace) -> str:
 def segmented_digest(path) -> str:
     """Content hash of a segmented trace file, from its segment digests.
 
-    Folds the per-segment content digests (sidecar index when it is
-    fresh, streamed from the data file otherwise) into one key-sized
-    hash without ever loading the trace.  Any change to any segment —
-    or to the segment size, which changes the segmentation — changes
-    the result.
+    Folds the digest of the header block's raw bytes and the
+    per-segment content digests (from the sidecar index, rebuilt in
+    passing when stale) into one key-sized hash without ever loading
+    the trace.  Any change to the header (meta, lock schedule, thread
+    list), to any segment, or to the segment size, which changes the
+    segmentation, changes the result.
     """
-    from repro.trace.segments import fold_digests, segment_digests
+    from repro.errors import TraceError
+    from repro.trace.segments import (
+        ensure_index,
+        fold_digests,
+        header_digest,
+        segment_digests,
+    )
 
-    return fold_digests(segment_digests(path))
+    index = ensure_index(path)
+    if index is None:
+        segment_digests(path)  # a damaged file: the strict reader names it
+        raise TraceError(f"{path}: cannot index segmented trace")
+    return fold_digests([header_digest(path, index)]
+                        + [s.digest for s in index.segments])

@@ -10,7 +10,8 @@ shared server:
   :mod:`repro.errors`, and the per-endpoint result schemas;
 * :mod:`repro.serve.jobs` — content-addressed job manager: concurrent
   identical requests (same trace digest, same options) share one
-  computation, finished jobs are retained for polling, and every
+  computation, finished jobs are frozen to bytes (artifacts spilled
+  to disk) and retained for polling under a byte budget, and every
   computation runs under the supervised executor's
   :class:`~repro.runner.pool.ExecPolicy` (retries, quarantine);
 * :mod:`repro.serve.server` — the HTTP endpoints

@@ -21,8 +21,17 @@ one :class:`Job` per key:
 
 Job ids are derived from the key (``<endpoint>-<key prefix>``), so they
 are stable across identical submissions: polling ``/v1/jobs/<id>`` for
-a deduplicated request finds the shared job.  Finished jobs are
-retained FIFO up to ``keep`` entries for async pollers.
+a deduplicated request finds the shared job.
+
+A finished job is frozen at once (:class:`Outcome`): its result
+envelope is encoded to the wire bytes every poll, dedup hit and SSE
+``result`` frame then send, its artifact blob is spilled to
+``<spill dir>/<job id>.<n>``, and its progress snapshots become their
+canonical text.  Finished jobs are retained FIFO under one byte budget
+(``keep_mb``); each is charged its envelope and progress bytes, its
+artifact file's size and :data:`RECORD_OVERHEAD`.  Evicting a job
+unlinks its artifact file, unless a reader holds the job (see
+:meth:`JobManager.submit`), in which case the last release does.
 
 Determinism note: replay-based analysis is deterministic per content
 key, so handing one job's result to many tenants is safe — the dedup
@@ -33,23 +42,31 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import shutil
+import tempfile
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Optional, Tuple, Union
 
 from repro import log, telemetry
 from repro.runner.pool import ExecPolicy, TaskFailure, parallel_map
 from repro.serve import protocol
 
-__all__ = ["Job", "JobResult", "JobManager"]
+__all__ = ["Job", "JobResult", "Outcome", "JobManager", "RECORD_OVERHEAD"]
 
 _log = log.get_logger("serve.jobs")
+
+#: bytes charged per retained job on top of its payload: the record
+#: itself, its key and id strings and its index entries
+RECORD_OVERHEAD = 1024
 
 
 @dataclasses.dataclass
 class JobResult:
-    """What one finished job hands back to the HTTP layer.
+    """What one computation hands back to the job manager.
 
     ``envelope`` is always set (the v1 success or error envelope);
     ``blob``/``content_type`` carry the artifact body for blob
@@ -64,12 +81,56 @@ class JobResult:
     def ok(self) -> bool:
         return bool(self.envelope.get("ok"))
 
+    def freeze(self, artifact: Optional[Path] = None) -> "Outcome":
+        """Encode the envelope once and write the blob to ``artifact``."""
+        if self.blob is None:
+            artifact = None
+        elif artifact is None:
+            raise ValueError("a result with an artifact needs a spill path")
+        else:
+            artifact.write_bytes(self.blob)
+        return Outcome(
+            body=protocol.wire_dumps(self.envelope).encode("utf-8"),
+            status=protocol.http_status(self.envelope),
+            ok=self.ok,
+            content_type=self.content_type,
+            artifact=artifact,
+            artifact_bytes=0 if artifact is None else len(self.blob),
+        )
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Outcome:
+    """A finished job's answer, frozen to bytes.
+
+    ``body`` is the canonical wire encoding of the result envelope
+    (:func:`repro.serve.protocol.wire_dumps`) and ``status`` its HTTP
+    status; ``artifact`` is the file holding the artifact blob, if any.
+    """
+
+    body: bytes
+    status: int
+    ok: bool
+    content_type: Optional[str] = None
+    artifact: Optional[Path] = None
+    artifact_bytes: int = 0
+
+    @property
+    def envelope(self) -> dict:
+        return json.loads(self.body)
+
 
 class Job:
-    """One content-addressed computation and its completion latch."""
+    """One content-addressed computation and its completion latch.
 
-    __slots__ = ("id", "key", "kind", "tenant", "seq", "_done", "result",
-                 "progress", "_progress_cond")
+    While it runs, a job carries one condition (completion and progress
+    share it) and a list of progress snapshots in their canonical text;
+    :meth:`finish` drops the condition and freezes the list, so a
+    retained job is its :class:`Outcome` plus a few strings.
+    """
+
+    __slots__ = ("id", "key", "kind", "tenant", "seq", "result", "blob",
+                 "holds", "progress", "_cond")
 
     def __init__(self, job_id: str, key: str, kind: str, tenant: str, seq: int):
         self.id = job_id
@@ -77,27 +138,41 @@ class Job:
         self.kind = kind
         self.tenant = tenant
         self.seq = seq
-        self._done = threading.Event()
-        self.result: Optional[JobResult] = None
-        #: append-only progress snapshots (repro.observe dicts); every
-        #: follower replays the full list from the start, so a watcher
-        #: attaching late still sees the deterministic whole sequence
-        self.progress: list = []
-        self._progress_cond = threading.Condition()
+        self.result: Optional[Outcome] = None
+        #: the artifact bytes, kept in memory only while a reader holds
+        #: the job (a sync request sends them without a file read)
+        self.blob: Optional[bytes] = None
+        #: readers holding the job (see JobManager.submit)
+        self.holds = 0
+        #: append-only progress snapshots, each in its canonical one-line
+        #: text (repro.observe.snapshot_dumps); every follower replays the
+        #: full sequence from the start, so a watcher attaching late still
+        #: sees the deterministic whole sequence
+        self.progress: Union[list, tuple] = []
+        self._cond: Optional[threading.Condition] = threading.Condition()
 
     @property
     def state(self) -> str:
-        return "done" if self._done.is_set() else "running"
+        return "running" if self.result is None else "done"
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job finishes; False on timeout."""
-        return self._done.wait(timeout)
+        cond = self._cond
+        if cond is None:
+            return True
+        with cond:
+            return cond.wait_for(lambda: self.result is not None, timeout)
 
-    def finish(self, result: JobResult) -> None:
-        self.result = result
-        self._done.set()
-        with self._progress_cond:
-            self._progress_cond.notify_all()
+    def finish(self, result: Union[JobResult, Outcome]) -> None:
+        """Set the job's outcome (freezing a plain result) and wake waiters."""
+        if isinstance(result, JobResult):
+            result = result.freeze()
+        cond = self._cond
+        with cond:
+            self.progress = tuple(self.progress)
+            self.result = result
+            cond.notify_all()
+        self._cond = None
 
     def publish(self, snapshot: dict) -> None:
         """Append one progress snapshot and wake any followers.
@@ -105,30 +180,41 @@ class Job:
         This is the ``on_progress`` callback the analyze computation is
         wired with; it runs on the job's worker thread.
         """
-        with self._progress_cond:
-            self.progress.append(snapshot)
-            self._progress_cond.notify_all()
+        from repro.observe import snapshot_dumps
 
-    def events(self, timeout: Optional[float] = None):
-        """Yield progress snapshots in order until the job finishes.
+        line = snapshot_dumps(snapshot).rstrip("\n")
+        with self._cond:
+            self.progress.append(line)
+            self._cond.notify_all()
 
-        Starts from the beginning of the job's progress list (late
-        subscribers replay everything), then follows live.  ``timeout``
-        bounds each wait for *new* progress; a quiet period longer than
-        that ends the stream early (the caller can poll the job state).
+    def progress_lines(self, timeout: Optional[float] = None):
+        """Yield the canonical progress lines in order until the job finishes.
+
+        Starts from the beginning of the job's progress (late subscribers
+        replay everything), then follows live.  ``timeout`` bounds each
+        wait for *new* progress; a quiet period longer than that ends the
+        stream early (the caller can poll the job state).
         """
         i = 0
         while True:
-            with self._progress_cond:
-                while i >= len(self.progress) and not self._done.is_set():
-                    if not self._progress_cond.wait(timeout):
-                        return
-                batch = list(self.progress[i:])
-            for snapshot in batch:
-                yield snapshot
-            i += len(batch)
-            if self._done.is_set() and i >= len(self.progress):
+            cond = self._cond
+            if cond is None:  # finished: progress is frozen
+                yield from self.progress[i:]
                 return
+            with cond:
+                while i >= len(self.progress) and self.result is None:
+                    if not cond.wait(timeout):
+                        return
+                batch = self.progress[i:]
+                done = self.result is not None
+            yield from batch
+            i += len(batch)
+            if done:
+                return
+
+    def events(self, timeout: Optional[float] = None):
+        """:meth:`progress_lines`, decoded back to snapshot dicts."""
+        return map(json.loads, self.progress_lines(timeout))
 
     def status(self) -> dict:
         """The ``/v1/jobs/<id>`` status object (state + links)."""
@@ -137,9 +223,9 @@ class Job:
             "kind": self.kind,
             "state": self.state,
         }
-        if self.state == "done" and self.result is not None:
+        if self.result is not None:
             status["ok"] = self.result.ok
-            if self.result.blob is not None:
+            if self.result.artifact is not None:
                 status["artifact"] = f"/v1/jobs/{self.id}/artifact"
         return status
 
@@ -164,21 +250,38 @@ def _run_supervised(compute: Callable[[], JobResult],
     return outcome
 
 
+def _charge(job: Job) -> int:
+    """Retention bytes of a finished job."""
+    return (RECORD_OVERHEAD + len(job.result.body) + job.result.artifact_bytes
+            + sum(map(len, job.progress)))
+
+
 class JobManager:
-    """Deduplicating executor over a bounded worker thread pool."""
+    """Deduplicating executor over a bounded worker thread pool.
+
+    Artifacts are spilled under ``spill_dir`` (a private temporary
+    directory when ``None``), which the manager owns: :meth:`shutdown`
+    removes it.
+    """
 
     def __init__(
         self,
         *,
         policy: Optional[ExecPolicy] = None,
         max_workers: int = 16,
-        keep: int = 512,
+        keep_mb: float = 64.0,
+        spill_dir=None,
     ):
         self.policy = policy or ExecPolicy()
-        self.keep = keep
+        self.keep_bytes = int(keep_mb * 1024 * 1024)
+        if spill_dir is None:
+            spill_dir = tempfile.mkdtemp(prefix="repro-jobs-")
+        self.spill_dir = Path(spill_dir)
+        self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._running: dict = {}          # key -> Job
-        self._finished: OrderedDict = OrderedDict()  # key -> Job (FIFO cap)
+        self._finished: OrderedDict = OrderedDict()  # key -> Job, FIFO
+        self._retained = 0                # bytes charged to _finished
         self._by_id: dict = {}            # job id -> Job
         self._seq = itertools.count()
         self._pool = ThreadPoolExecutor(
@@ -196,31 +299,65 @@ class JobManager:
         compute: Callable[[], JobResult],
         *,
         tenant: str = "",
+        hold: bool = False,
     ) -> Tuple[Job, str]:
         """Attach to (or start) the job for ``key``.
 
         Returns ``(job, dedup)`` where dedup is ``"miss"`` (started a
         computation), ``"inflight"`` (attached to a running job) or
         ``"done"`` (served from a retained finished job).
+
+        ``hold=True`` holds the job for a reader that will send its
+        artifact: until the matching :meth:`release`, the artifact bytes
+        of a job finishing meanwhile stay in memory (:attr:`Job.blob`)
+        and eviction leaves the artifact file in place.
         """
         with self._lock:
             job = self._running.get(key)
             if job is not None:
                 telemetry.count("serve.dedup.inflight")
-                return job, "inflight"
-            job = self._finished.get(key)
-            if job is not None:
-                telemetry.count("serve.dedup.done")
-                return job, "done"
-            job = Job(self._job_id(kind, key), key, kind,
-                      tenant, next(self._seq))
-            self._running[key] = job
-            self._by_id[job.id] = job
-            telemetry.count("serve.jobs")
-            self.computed += 1
-        telemetry.count("serve.computed")
-        self._pool.submit(self._run, job, compute)
-        return job, "miss"
+                dedup = "inflight"
+            else:
+                job = self._finished.get(key)
+                if job is not None:
+                    telemetry.count("serve.dedup.done")
+                    dedup = "done"
+                else:
+                    job = Job(self._job_id(kind, key), key, kind,
+                              tenant, next(self._seq))
+                    self._running[key] = job
+                    self._by_id[job.id] = job
+                    telemetry.count("serve.jobs")
+                    self.computed += 1
+                    dedup = "miss"
+            job.holds += hold
+        if dedup == "miss":
+            telemetry.count("serve.computed")
+            self._pool.submit(self._run, job, compute)
+        return job, dedup
+
+    def release(self, job: Job) -> None:
+        """End one :meth:`submit` hold on ``job``."""
+        with self._lock:
+            job.holds -= 1
+            if job.holds:
+                return
+            job.blob = None
+            if job.result is not None and self._finished.get(job.key) is not job:
+                self._unlink(job)
+
+    def read_artifact(self, job: Job) -> Optional[bytes]:
+        """A finished job's artifact bytes; ``None`` once it was evicted."""
+        with self._lock:
+            if job.blob is not None:
+                return job.blob
+            if not job.holds and self._finished.get(job.key) is not job:
+                return None
+            job.holds += 1
+        try:
+            return job.result.artifact.read_bytes()
+        finally:
+            self.release(job)
 
     @staticmethod
     def _job_id(kind: str, key: str) -> str:
@@ -235,19 +372,36 @@ class JobManager:
             bound, compute = compute, (lambda: bound(job))
         try:
             result = _run_supervised(compute, self.policy)
+            # the sequence number keeps the file of an evicted job still
+            # held by a reader apart from a recomputation of the same key
+            outcome = result.freeze(self.spill_dir / f"{job.id}.{job.seq}")
         except BaseException as exc:  # a bug, not a task failure
             _log.error(
                 "job %s internal failure: %s", job.id, exc,
                 extra={"event": "serve.internal", "job": job.id},
             )
             result = JobResult(envelope=protocol.envelope_from_exception(exc))
-        job.finish(result)
+            outcome = result.freeze()
         with self._lock:
+            if job.holds:
+                job.blob = result.blob
+            # waiters wake here, but whatever they read of the manager
+            # takes this lock, so they see the retention settled below
+            job.finish(outcome)
             self._running.pop(job.key, None)
             self._finished[job.key] = job
-            while len(self._finished) > self.keep:
+            self._retained += _charge(job)
+            while self._retained > self.keep_bytes and self._finished:
                 _, evicted = self._finished.popitem(last=False)
+                self._retained -= _charge(evicted)
                 self._by_id.pop(evicted.id, None)
+                if not evicted.holds:
+                    self._unlink(evicted)
+
+    @staticmethod
+    def _unlink(job: Job) -> None:
+        if job.result.artifact is not None:
+            job.result.artifact.unlink(missing_ok=True)
 
     # -------------------------------------------------------------- reads
 
@@ -265,3 +419,4 @@ class JobManager:
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
+        shutil.rmtree(self.spill_dir, ignore_errors=True)

@@ -32,7 +32,9 @@ key) so clients and the load-test harness can observe the dedup.
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import tempfile
 import threading
 import time
 import urllib.parse
@@ -305,30 +307,30 @@ class ReproServer(ThreadingHTTPServer):
         *,
         policy: Optional[ExecPolicy] = None,
         max_workers: int = 16,
-        keep_jobs: int = 512,
+        keep_mb: float = 64.0,
         max_body_mb: float = 64.0,
         sync_timeout: float = 600.0,
         spool_dir=None,
         sink: Optional[telemetry.Telemetry] = None,
     ):
-        import tempfile
-
         self.sink = sink if sink is not None else telemetry.Telemetry()
-        self.manager = JobManager(policy=policy, max_workers=max_workers,
-                                  keep=keep_jobs)
-        self.max_body = int(max_body_mb * 1024 * 1024)
-        self.sync_timeout = sync_timeout
         if spool_dir is None:
             self._spool_tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
             spool_dir = self._spool_tmp.name
         self.spool_dir = Path(spool_dir)
+        # finished jobs' artifacts spill next to the uploads
+        self.manager = JobManager(policy=policy, max_workers=max_workers,
+                                  keep_mb=keep_mb,
+                                  spill_dir=self.spool_dir / "jobs")
+        self.max_body = int(max_body_mb * 1024 * 1024)
+        self.sync_timeout = sync_timeout
         self.started = time.monotonic()
         self.tenants: dict = {}
-        self._tenants_lock = __import__("threading").Lock()
+        self._tenants_lock = threading.Lock()
         #: open SSE event streams (exported as the serve.watchers gauge)
         self.watchers = 0
-        self._watchers_lock = __import__("threading").Lock()
-        self._request_ids = __import__("itertools").count(1)
+        self._watchers_lock = threading.Lock()
+        self._request_ids = itertools.count(1)
         # the server owns the process-wide ambient sink for its lifetime:
         # handler threads and job-manager workers all record into one
         # Telemetry without per-request global swaps (those would race
@@ -361,6 +363,9 @@ class ReproServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a keep-alive response is written as headers then body;
+    # with Nagle on, the body waits out the client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
     server: ReproServer
 
     # ------------------------------------------------------------- plumbing
@@ -410,6 +415,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _respond_outcome(self, outcome, headers: dict) -> None:
+        """A finished job's frozen result envelope, as encoded at finish."""
+        self._respond(outcome.status, outcome.body, JSON_CONTENT_TYPE, headers)
 
     def _respond_envelope(self, envelope: dict, *, status: Optional[int] = None,
                           headers: Optional[dict] = None) -> None:
@@ -502,33 +511,34 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_job(self, rest) -> None:
         job = self.server.manager.get(rest[0])
         if job is None:
-            raise NotFoundError(f"no such job: {rest[0]!r} (it may have "
-                                "been evicted; resubmit the request)")
+            raise NotFoundError(_evicted(rest[0]))
         self.job_id = job.id
+        headers = {"X-Repro-Job": job.id}
+        outcome = job.result
         if len(rest) == 1:
-            if job.state == "done" and job.result.blob is None:
+            if outcome is not None and outcome.artifact is None:
                 # JSON-result jobs answer with the result envelope itself,
                 # byte-identical to the synchronous response
-                self._respond_envelope(job.result.envelope,
-                                       headers={"X-Repro-Job": job.id})
+                self._respond_outcome(outcome, headers)
                 return
             self._respond_envelope(protocol.ok_envelope(job.status()),
-                                   headers={"X-Repro-Job": job.id})
+                                   headers=headers)
             return
         if rest[1] == "artifact":
-            if job.state != "done":
+            if outcome is None:
                 raise RequestError(
                     f"job {job.id} is still running; poll /v1/jobs/{job.id}"
                 )
-            if not job.result.ok:
-                self._respond_envelope(job.result.envelope,
-                                       headers={"X-Repro-Job": job.id})
+            if not outcome.ok:
+                self._respond_outcome(outcome, headers)
                 return
-            if job.result.blob is None:
+            if outcome.artifact is None:
                 raise NotFoundError(f"job {job.id} has no artifact; its "
                                     "result is the JSON envelope")
-            self._respond(200, job.result.blob, job.result.content_type,
-                          {"X-Repro-Job": job.id})
+            blob = self.server.manager.read_artifact(job)
+            if blob is None:
+                raise NotFoundError(_evicted(job.id))
+            self._respond(200, blob, outcome.content_type, headers)
             return
         if rest[1] == "events":
             self._stream_events(job)
@@ -547,8 +557,6 @@ class _Handler(BaseHTTPRequestHandler):
         Content-Length (the connection closes when the stream ends), so
         ``Connection: close`` is explicit.
         """
-        from repro.observe import snapshot_dumps
-
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream; charset=utf-8")
         self.send_header("Cache-Control", "no-store")
@@ -558,14 +566,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         self.server.adjust_watchers(+1)
         try:
-            for snapshot in job.events(timeout=self.server.sync_timeout):
-                data = snapshot_dumps(snapshot).rstrip("\n")
+            for data in job.progress_lines(timeout=self.server.sync_timeout):
                 self.wfile.write(
                     f"event: snapshot\ndata: {data}\n\n".encode("utf-8")
                 )
                 self.wfile.flush()
-            if job.state == "done":
-                body = protocol.wire_dumps(job.result.envelope)
+            if job.result is not None:
+                body = job.result.body.decode("utf-8")
                 frame = "event: result\n" + "".join(
                     f"data: {line}\n" for line in body.split("\n")
                 ) + "\n"
@@ -609,8 +616,11 @@ class _Handler(BaseHTTPRequestHandler):
             **key_params,
         )
         compute = _COMPUTE_BUILDERS[endpoint](self.server, source, request)
-        job, dedup = self.server.manager.submit(
-            endpoint, key, self._cached(endpoint, key, compute), tenant=tenant
+        sync = request["mode"] != "async"
+        manager = self.server.manager
+        job, dedup = manager.submit(
+            endpoint, key, self._cached(endpoint, key, compute), tenant=tenant,
+            hold=sync,
         )
         self.job_id = job.id
         headers = {
@@ -618,7 +628,12 @@ class _Handler(BaseHTTPRequestHandler):
             "X-Repro-Dedup": dedup,
             "X-Repro-Key": key[:32],
         }
-        if request["mode"] == "async":
+        if sync:
+            try:
+                self._respond_sync(job, headers)
+            finally:
+                manager.release(job)
+        else:
             telemetry.count("serve.jobs.async")
             envelope = protocol.ok_envelope({
                 "job": job.id,
@@ -627,17 +642,21 @@ class _Handler(BaseHTTPRequestHandler):
                 "dedup": dedup,
             })
             self._respond_envelope(envelope, status=202, headers=headers)
-            return
+
+    def _respond_sync(self, job, headers: dict) -> None:
+        """Wait for a job this request holds, then send its result."""
         if not job.wait(self.server.sync_timeout):
             raise RequestError(
                 f"job {job.id} did not finish within the server's sync "
                 f"window; resubmit with mode=async and poll /v1/jobs/{job.id}"
             )
-        result = job.result
-        if result.blob is not None and result.ok:
-            self._respond(200, result.blob, result.content_type, headers)
+        outcome = job.result
+        if outcome.artifact is not None:
+            # held: the bytes are in memory or the file is still there
+            self._respond(200, self.server.manager.read_artifact(job),
+                          outcome.content_type, headers)
             return
-        self._respond_envelope(result.envelope, headers=headers)
+        self._respond_outcome(outcome, headers)
 
     def _cached(self, endpoint: str, key: str, compute):
         """Back a computation with the active blob cache when one is open.
@@ -710,6 +729,12 @@ class _Handler(BaseHTTPRequestHandler):
                 "known: mode, format, options"
             )
         return protocol.parse_request(endpoint, payload)
+
+
+def _evicted(job_id: str) -> str:
+    return (f"no such job: {job_id!r} (finished jobs are evicted oldest first "
+            "once the server's retention budget is full; resubmit the "
+            "request)")
 
 
 def _result_tuple(result: JobResult):

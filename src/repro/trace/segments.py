@@ -1390,26 +1390,19 @@ def _core_key(path: Union[str, Path]) -> Optional[tuple]:
     decompresses the file and never rebuilds the index, so a file
     without a fresh index is never shared.  Segment digests do not
     cover the header block (meta, lock schedule, thread list), so the
-    key adds a digest of the header's raw bytes, which end where the
-    index puts the first segment.  It also pins the file's identity:
+    key adds :func:`header_digest`.  It also pins the file's identity:
     an index left over from an older file of the same size vouches for
     the wrong segments, and a rewrite installs a new inode.
     """
     index = fresh_index(path)
     if index is None:
         return None
-    header_end = (index.segments[0].offset if index.segments
-                  else index.footer_offset)
-    if header_end is None:
-        return None
     try:
         stat = os.stat(path)
-        with open(path, "rb") as handle:
-            header = handle.read(header_end)
+        header = header_digest(path, index)
     except OSError:
         return None
-    return (fold_digests(s.digest for s in index.segments),
-            hashlib.sha256(header).hexdigest()[:32],
+    return (fold_digests(s.digest for s in index.segments), header,
             stat.st_dev, stat.st_ino, stat.st_mtime_ns)
 
 
@@ -1679,6 +1672,20 @@ def fold_digests(digests) -> str:
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()[:32]
+
+
+def header_digest(path: Union[str, Path], index: SegmentedIndex) -> str:
+    """Key-sized SHA-256 of the header block's raw bytes.
+
+    Segment digests cover only the segments' own lines, not the header
+    (meta, lock schedule, thread list).  The header ends where ``index``
+    puts the first segment (the footer for a file without segments; an
+    old index without a footer offset hashes the whole file).
+    """
+    header_end = (index.segments[0].offset if index.segments
+                  else index.footer_offset)
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read(header_end)).hexdigest()[:32]
 
 
 def segment_digests(path: Union[str, Path]) -> List[str]:

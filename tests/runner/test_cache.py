@@ -191,6 +191,23 @@ class TestSegmentedDigest:
         b = self._segmented(tmp_path, segment_events=7)
         assert segmented_digest(a) != segmented_digest(b)
 
+    def test_header_changes_the_digest(self, tmp_path):
+        import dataclasses
+
+        from repro.runner import segmented_digest
+        from repro.trace.segments import segment_digests, write_segmented
+        from repro.workloads import get_workload
+
+        trace = get_workload("pbzip2", threads=2, seed=0).record().trace
+        a = tmp_path / "a.seg.jsonl.gz"
+        write_segmented(trace, a, segment_events=20)
+        trace.meta = dataclasses.replace(trace.meta, name="renamed")
+        b = tmp_path / "b.seg.jsonl.gz"
+        write_segmented(trace, b, segment_events=20)
+        # equal events, so equal segments; only the header block differs
+        assert segment_digests(a) == segment_digests(b)
+        assert segmented_digest(a) != segmented_digest(b)
+
     def test_analyze_segments_cached_hit_is_equivalent(self, tmp_path):
         from repro.runner import analyze_segments_cached
 

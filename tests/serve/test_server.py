@@ -1,5 +1,6 @@
 """The HTTP service end to end: routing, dedup, quarantine, metrics."""
 
+import dataclasses
 import http.client
 import io
 import json
@@ -9,9 +10,12 @@ import time
 import pytest
 
 from repro import api
-from repro.serve.jobs import JobManager, JobResult
+from repro.serve import protocol
+from repro.serve.jobs import RECORD_OVERHEAD, JobManager, JobResult
 from repro.serve.server import ReproServer
 from repro.trace import serialize
+from repro.trace.segments import write_segmented
+from repro.workloads import get_workload
 
 
 def _trace_bytes(name="mixed-bag", threads=2, scale=1.0, seed=3) -> bytes:
@@ -372,21 +376,105 @@ class TestJobManager:
             release.set()
             manager.shutdown()
 
+    @staticmethod
+    def _blob_result(blob=b"x" * 4096):
+        return JobResult(envelope={"v": 1, "ok": True, "result": {}},
+                         blob=blob, content_type="text/plain")
+
+    def _budget_mb(self, jobs: float) -> float:
+        """A retention budget holding ``jobs`` jobs of _blob_result."""
+        result = self._blob_result()
+        charge = (RECORD_OVERHEAD + len(result.blob)
+                  + len(protocol.wire_dumps(result.envelope).encode("utf-8")))
+        return jobs * charge / (1024 * 1024)
+
     def test_finished_jobs_evicted_fifo(self):
-        manager = JobManager(max_workers=2, keep=2)
-
-        def compute():
-            return JobResult(envelope={"v": 1, "ok": True, "result": {}})
-
+        manager = JobManager(max_workers=2, keep_mb=self._budget_mb(2.5))
         try:
             jobs = []
             for i in range(4):
-                job, _ = manager.submit("analyze", f"key-{i}", compute)
+                job, _ = manager.submit("analyze", f"key-{i}",
+                                        self._blob_result)
                 assert job.wait(10)
                 jobs.append(job)
-            assert manager.get(jobs[0].id) is None
-            assert manager.get(jobs[3].id) is jobs[3]
+            assert [manager.get(job.id) for job in jobs] == \
+                [None, None, jobs[2], jobs[3]]
             assert manager.stats()["finished"] == 2
+            # eviction unlinks the spilled artifact; retained ones stay
+            assert not jobs[0].result.artifact.exists()
+            assert not jobs[1].result.artifact.exists()
+            assert manager.read_artifact(jobs[0]) is None
+            assert jobs[2].result.artifact.read_bytes() == b"x" * 4096
+            assert manager.read_artifact(jobs[3]) == b"x" * 4096
+            # an evicted key computes again; a retained one is a dedup hit
+            assert manager.submit("analyze", "key-3",
+                                  self._blob_result)[1] == "done"
+            again, dedup = manager.submit("analyze", "key-0",
+                                          self._blob_result)
+            assert dedup == "miss" and again is not jobs[0]
+        finally:
+            manager.shutdown()
+        assert not manager.spill_dir.exists()
+
+    def test_held_job_keeps_its_artifact_past_eviction(self):
+        manager = JobManager(max_workers=2, keep_mb=self._budget_mb(1.5))
+        release = threading.Event()
+
+        def compute():
+            release.wait(10)
+            return self._blob_result(b"held")
+
+        try:
+            held, _ = manager.submit("transform", "held", compute, hold=True)
+            release.set()
+            assert held.wait(10)
+            # a sync holder gets the bytes it computed without a file read
+            assert held.blob == b"held"
+            later, _ = manager.submit("transform", "later",
+                                      self._blob_result)
+            assert later.wait(10)
+            later, _ = manager.submit("transform", "later2",
+                                      self._blob_result)
+            assert later.wait(10)
+            assert manager.get(held.id) is None
+            assert manager.read_artifact(held) == b"held"
+            assert held.result.artifact.exists()
+            manager.release(held)
+            assert held.blob is None
+            assert not held.result.artifact.exists()
+        finally:
+            release.set()
+            manager.shutdown()
+
+    def test_zero_budget_serves_holders_and_keeps_nothing(self):
+        manager = JobManager(max_workers=1, keep_mb=0)
+        try:
+            held, _ = manager.submit("transform", "held", self._blob_result,
+                                     hold=True)
+            assert held.wait(10)
+            assert manager.read_artifact(held) == b"x" * 4096
+            manager.release(held)
+            assert not held.result.artifact.exists()
+            job, _ = manager.submit("transform", "async", self._blob_result)
+            assert job.wait(10)
+            assert manager.get(job.id) is None
+            assert manager.read_artifact(job) is None
+            assert not job.result.artifact.exists()
+            assert manager.stats()["finished"] == 0
+        finally:
+            manager.shutdown()
+
+    def test_finished_job_drops_its_latch(self):
+        manager = JobManager(max_workers=1)
+        try:
+            job, _ = manager.submit("analyze", "k", lambda: JobResult(
+                envelope={"v": 1, "ok": True, "result": {"n": 1}}))
+            assert job.wait(10)
+            assert job._cond is None
+            assert job.progress == ()
+            assert job.result.body == protocol.wire_dumps(
+                {"v": 1, "ok": True, "result": {"n": 1}}).encode("utf-8")
+            assert job.result.artifact is None
         finally:
             manager.shutdown()
 
@@ -403,3 +491,141 @@ class TestJobManager:
             assert "kaboom" in job.result.envelope["error"]["message"]
         finally:
             manager.shutdown()
+
+
+@pytest.fixture()
+def own_server():
+    """A private server, for tests that fill its job retention."""
+    server = ReproServer(("127.0.0.1", 0))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.close()
+    thread.join(timeout=5)
+
+
+def _connect(server):
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=120)
+
+
+def _call(conn, method, path, body=None, content_type=None):
+    headers = {"Content-Type": content_type} if content_type else {}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, dict(response.getheaders()), response.read()
+
+
+def _poll_done(conn, job_id):
+    deadline = time.monotonic() + 60
+    while True:
+        status, _, body = _call(conn, "GET", f"/v1/jobs/{job_id}")
+        result = json.loads(body).get("result")
+        if not (isinstance(result, dict) and result.get("state") == "running"):
+            return status, body
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+class TestTransport:
+    def test_keepalive_responses_skip_the_delayed_ack(self, server):
+        """Back-to-back requests on one keep-alive connection.
+
+        With Nagle's algorithm on, each response's body waits for the
+        client's delayed ACK of its headers (>= 40 ms on Linux).
+        """
+        conn = _connect(server)
+        try:
+            times = []
+            for _ in range(20):
+                started = time.perf_counter()
+                status, _, _ = _call(conn, "GET", "/v1/health")
+                times.append((time.perf_counter() - started) * 1000.0)
+                assert status == 200
+        finally:
+            conn.close()
+        times.sort()
+        assert (times[9] + times[10]) / 2 < 20.0, times
+
+
+class TestRetention:
+    def test_async_job_outlives_a_thousand_later_jobs(self, own_server,
+                                                      client, trace_bytes):
+        conn = _connect(own_server)
+        try:
+            status, headers, _ = _call(conn, "POST", "/v1/analyze?mode=async",
+                                       trace_bytes, "application/octet-stream")
+            assert status == 202
+            job_id = headers["X-Repro-Job"]
+            _poll_done(conn, job_id)
+            manager = own_server.manager
+            for i in range(1000):
+                job, _ = manager.submit("analyze", f"later-{i}", lambda: (
+                    JobResult(envelope=protocol.ok_envelope({"n": 1}))))
+                assert job.wait(10)
+            status, body = _poll_done(conn, job_id)
+        finally:
+            conn.close()
+        assert status == 200
+        assert manager.stats()["finished"] == 1001
+        # the sync body of the same upload, computed by another server
+        _, _, sync_body = client("POST", "/v1/analyze", trace_bytes,
+                                 "application/octet-stream")
+        assert body == sync_body
+
+    def test_spilled_artifact_is_identical_on_every_route(self, own_server,
+                                                          trace_bytes):
+        conn = _connect(own_server)
+        try:
+            status, headers, sync_blob = _call(
+                conn, "POST", "/v1/timeline", trace_bytes,
+                "application/octet-stream")
+            assert status == 200
+            job = own_server.manager.get(headers["X-Repro-Job"])
+            spilled = job.result.artifact
+            assert spilled.parent == own_server.spool_dir / "jobs"
+            assert job.blob is None  # the sync holder released it
+            assert spilled.read_bytes() == sync_blob
+            status, _, blob = _call(conn, "GET",
+                                    f"/v1/jobs/{job.id}/artifact")
+            assert status == 200 and blob == sync_blob
+            # a dedup hit reads the spilled file
+            status, headers, blob = _call(
+                conn, "POST", "/v1/timeline", trace_bytes,
+                "application/octet-stream")
+            assert headers["X-Repro-Dedup"] == "done"
+            assert blob == sync_blob
+        finally:
+            conn.close()
+        sse = _connect(own_server)
+        try:
+            status, _, stream = _call(sse, "GET", f"/v1/jobs/{job.id}/events")
+        finally:
+            sse.close()
+        assert status == 200
+        frame = stream.decode("utf-8").split("\n\n")[-2].split("\n")
+        assert frame[0] == "event: result"
+        body = "\n".join(line[len("data: "):] for line in frame[1:])
+        assert body.encode("utf-8") == job.result.body
+        assert json.loads(body)["result"]["bytes"] == len(sync_blob)
+
+
+class TestSegmentedDedupKey:
+    def test_renamed_upload_gets_its_own_artifact(self, client, tmp_path):
+        """Equal events, different header: two keys, two artifacts."""
+        trace = get_workload("mixed-bag", threads=2, seed=5).record().trace
+        first = tmp_path / "first.seg.jsonl.gz"
+        write_segmented(trace, first, segment_events=64)
+        trace.meta = dataclasses.replace(trace.meta, name="renamed-upload")
+        second = tmp_path / "second.seg.jsonl.gz"
+        write_segmented(trace, second, segment_events=64)
+        _, _, first_blob = client("POST", "/v1/transform", first.read_bytes(),
+                                  "application/octet-stream")
+        status, headers, second_blob = client(
+            "POST", "/v1/transform", second.read_bytes(),
+            "application/octet-stream")
+        assert status == 200
+        assert headers["X-Repro-Dedup"] == "miss"
+        assert b'"mixed-bag+ulcpfree"' in first_blob
+        assert b'"renamed-upload+ulcpfree"' in second_blob

@@ -421,10 +421,15 @@ def transform(
 
     A path to a segmented file is loaded straight into its columnar core
     (:func:`repro.trace.segments.load_segmented_columnar`) and
-    transformed there; event objects are built once, for the returned
-    trace (and, with ``full=True``, for ``result.original``).  When an
-    earlier :func:`analyze` of the same path still holds its decoded
-    core, that core — and the scan memoized on it — is reused.
+    transformed there.  When an earlier :func:`analyze` of the same
+    path still holds its decoded core, that core — and the scan memoized
+    on it — is reused.
+
+    A transformed trace the numpy rewrite produced (and, with
+    ``full=True``, a ``result.original`` loaded by path) is returned as
+    a :class:`Trace` that holds its columnar core: ``len()``,
+    ``end_time``, ``thread_ids`` and ``count`` answer from the columns,
+    and its events are built on the first read of ``threads``.
 
     An ``analysis`` option is reused only when it was computed in memory
     over this very trace (its sections are the scan memoized on the
@@ -446,7 +451,7 @@ def transform(
             options["analysis"] = None
         result = _transform_trace(source, **options)
     # the columnar route and the numpy rewrite yield ColumnarTraces; the
-    # facade contract is a plain, independently mutable Trace
+    # facade returns Traces over them
     if not isinstance(result.trace, Trace):
         result.trace = result.trace.to_trace()
     if full and not isinstance(result.original, Trace):

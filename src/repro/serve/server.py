@@ -378,6 +378,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: per-request correlation fields, assigned at route entry
     request_id: str = ""
     job_id: str = ""
+    #: a POST whose body is still unread on the socket; an error answered
+    #: then closes the connection, or the body would parse as the next
+    #: request
+    body_pending: bool = False
 
     def _log_fields(self, **extra) -> dict:
         fields = {
@@ -430,7 +434,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond_error(self, exc: BaseException) -> None:
         envelope = protocol.envelope_from_exception(exc)
         telemetry.count("serve.errors")
-        self._respond_envelope(envelope)
+        # "Connection: close" also sets close_connection
+        headers = {"Connection": "close"} if self.body_pending else None
+        self._respond_envelope(envelope, headers=headers)
 
     # --------------------------------------------------------------- routes
 
@@ -450,6 +456,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         started = time.perf_counter()
         self.request_id = f"req-{next(self.server._request_ids):06d}"
+        self.body_pending = True
         parsed = urllib.parse.urlsplit(self.path)
         try:
             self._route_post(parsed)
@@ -700,7 +707,9 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the server's "
                 f"limit of {self.server.max_body} bytes"
             )
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self.body_pending = False
+        return body
 
     def _json_request(self, endpoint: str, body: bytes) -> dict:
         try:

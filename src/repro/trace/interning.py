@@ -19,8 +19,9 @@ The :class:`TraceEvent` dataclass stays the public unit of exchange:
 materialize (and cache) an equal ``TraceEvent`` per slot only when a
 caller actually touches it, so ``trace.threads``-shaped consumers keep
 working unmodified.  Whole-thread materialization — iterating a view,
-:meth:`ColumnarTrace.to_trace`, loading a segmented file as a
-:class:`Trace` — goes through the one bulk :func:`materialize`.
+the first ``threads`` read of the :class:`Trace` that
+:meth:`ColumnarTrace.to_trace` returns — goes through the one bulk
+:func:`materialize`.
 
 A plain :class:`Trace` builds (and memoizes) its columnar core via
 ``trace.columnar()``; the intern tables round-trip through the
@@ -50,6 +51,7 @@ from repro.trace.events import (
     WAIT,
     WRITE,
 )
+from repro.trace.trace import Trace
 
 #: Canonical kind order; the index is the columnar kind code.  New kinds
 #: appearing at runtime extend the per-trace table past these.
@@ -518,31 +520,80 @@ class ColumnarTrace:
         if kind not in self.tables.kinds:
             return 0
         code = self.tables.kinds.id(kind)
-        return sum(
-            1 for col in self.columns.values() for k in col.kind if k == code
-        )
+        return sum(col.kind.count(code) for col in self.columns.values())
 
     def locks(self) -> List[str]:
         return list(self.lock_schedule)
 
     def to_trace(self):
-        """Materialize a plain, independently mutable :class:`Trace`.
+        """A :class:`Trace` over this core that builds its events on first read.
 
-        Each thread list is a copy of its fully iterated view — one bulk
-        :func:`materialize` pass over the slots nothing has read yet —
-        so events already handed out (e.g. the analysis' section
-        boundaries) are the same objects in the returned trace.
+        O(threads): ``len()``, ``end_time``, ``thread_ids`` and ``count``
+        answer from the columns.  The first read of ``threads`` fills the
+        trace with one bulk :func:`materialize` per view, so events
+        already handed out (e.g. the analysis' section boundaries) keep
+        their identity, and the lists are the trace's own to mutate.
         """
-        from repro.trace.trace import Trace
+        return _CoreTrace(self)
 
-        trace = Trace(self.meta)
-        for tid, view in self.threads.items():
-            trace.add_thread(tid)
-            trace.threads[tid].extend(view)
-        trace.lock_schedule = {k: list(v) for k, v in self.lock_schedule.items()}
-        trace.side = self.side
-        trace.symbols = self.tables
-        return trace
+    def __getstate__(self):
+        # views and the memoized scan are derived; rebuilt on demand
+        state = self.__dict__.copy()
+        state["_views"] = None
+        state["_scan"] = None
+        return state
+
+
+class _CoreTrace(Trace):
+    """The lazy :class:`Trace` of :meth:`ColumnarTrace.to_trace`.
+
+    Holds ``_core`` until ``threads`` is first read, then drops it and
+    is a plain :class:`Trace`.  ``columnar()`` still derives from
+    ``threads``: the core's lazy views would materialize section bodies
+    slot by slot.
+    """
+
+    def __init__(self, core: "ColumnarTrace"):
+        super().__init__(core.meta)
+        self.lock_schedule = {k: list(v) for k, v in core.lock_schedule.items()}
+        self.side = core.side
+        self.symbols = core.tables
+        self._core = core
+
+    @property
+    def threads(self):
+        core = self._core
+        if core is not None:
+            self._threads = {tid: list(view) for tid, view in core.threads.items()}
+            self._core = None
+        return self._threads
+
+    @threads.setter
+    def threads(self, value):
+        self._threads = value
+        self._core = None
+
+    @property
+    def thread_ids(self) -> List[str]:
+        if self._core is not None:
+            return self._core.thread_ids
+        return super().thread_ids
+
+    def __len__(self) -> int:
+        if self._core is not None:
+            return len(self._core)
+        return super().__len__()
+
+    @property
+    def end_time(self) -> int:
+        if self._core is not None:
+            return self._core.end_time
+        return super().end_time
+
+    def count(self, kind: str) -> int:
+        if self._core is not None:
+            return self._core.count(kind)
+        return super().count(kind)
 
 
 def canonical_tables(trace) -> InternTables:

@@ -1361,12 +1361,13 @@ class SegmentTail:
 
 
 def load_segmented(path: Union[str, Path]) -> Trace:
-    """Materialize a segmented file as a full :class:`Trace` (strict).
+    """Load a segmented file as a full :class:`Trace` (strict).
 
     The compatibility path for callers that need event objects: the
-    columnar load of :func:`load_segmented_columnar`, then one bulk
-    :meth:`~repro.trace.interning.ColumnarTrace.to_trace`.  Memory is
-    O(trace) by definition — use the streaming readers for
+    columnar load of :func:`load_segmented_columnar`, wrapped by
+    :meth:`~repro.trace.interning.ColumnarTrace.to_trace` — the events
+    are built in one bulk pass on the first read of ``threads``.  Memory
+    is O(trace) by definition — use the streaming readers for
     bounded-memory analysis.
     """
     return load_segmented_columnar(path).to_trace()

@@ -327,6 +327,44 @@ class TestQuarantine:
             thread.join(timeout=5)
 
 
+def _error_then_health(server, path, body):
+    """POST ``body`` to ``path``, then GET the health route, on one
+    connection: (POST status, GET status)."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": "application/octet-stream"})
+        response = conn.getresponse()
+        response.read()
+        conn.request("GET", "/v1/health")
+        health = conn.getresponse()
+        health.read()
+        return response.status, health.status
+    finally:
+        conn.close()
+
+
+class TestKeepAliveAfterEarlyError:
+    """An error answered before the request body is read must not leave
+    that body on the connection to be parsed as the next request."""
+
+    def test_unknown_route_then_get(self, server):
+        assert _error_then_health(server, "/v1/nope", b"{}") == (404, 200)
+
+    def test_over_limit_body_then_get(self):
+        server = ReproServer(("127.0.0.1", 0), max_body_mb=0.0001)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert _error_then_health(
+                server, "/v1/analyze", b"x" * 4096) == (413, 200)
+        finally:
+            server.shutdown()
+            server.close()
+            thread.join(timeout=5)
+
+
 class TestIntrospection:
     def test_health(self, client):
         status, _, body = client("GET", "/v1/health")

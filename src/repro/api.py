@@ -429,7 +429,8 @@ def transform(
     ``full=True``, a ``result.original`` loaded by path) is returned as
     a :class:`Trace` that holds its columnar core: ``len()``,
     ``end_time``, ``thread_ids`` and ``count`` answer from the columns,
-    and its events are built on the first read of ``threads``.
+    and its events are built on the first read of ``threads``.  A
+    ``result.original`` that nothing reads is never built.
 
     An ``analysis`` option is reused only when it was computed in memory
     over this very trace (its sections are the scan memoized on the

@@ -1363,14 +1363,16 @@ class SegmentTail:
 def load_segmented(path: Union[str, Path]) -> Trace:
     """Load a segmented file as a full :class:`Trace` (strict).
 
-    The compatibility path for callers that need event objects: the
-    columnar load of :func:`load_segmented_columnar`, wrapped by
+    The compatibility path for callers that need event objects: one
+    columnar decode, wrapped by
     :meth:`~repro.trace.interning.ColumnarTrace.to_trace` — the events
-    are built in one bulk pass on the first read of ``threads``.  Memory
-    is O(trace) by definition — use the streaming readers for
-    bounded-memory analysis.
+    are built in one bulk pass on the first read of ``threads``.  The
+    core is decoded for this trace alone and never registered for
+    sharing (:func:`load_segmented_columnar`), so two loads never hand
+    out the same event objects.  Memory is O(trace) by definition — use
+    the streaming readers for bounded-memory analysis.
     """
-    return load_segmented_columnar(path).to_trace()
+    return _decode_columnar(path).to_trace()
 
 
 #: decoded cores that some result still references, by :func:`_core_key`;

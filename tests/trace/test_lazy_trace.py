@@ -131,3 +131,11 @@ def test_copies_keep_every_event(seg_path, backend, load, filled):
     for clone in clones:
         assert type(clone) is type(trace)
         assert dumps(clone) == want
+
+
+def test_loads_never_share_events(seg_path):
+    first = serialize.load(seg_path)  # unfilled: holds its core
+    second = serialize.load(seg_path)
+    tid = first.thread_ids[0]
+    assert first.threads[tid][0] is not second.threads[tid][0]
+    assert dumps(first) == dumps(second)

@@ -23,6 +23,7 @@ from repro import kernels
 from repro.analysis.sections import CriticalSection
 from repro.sim.requests import decode_op
 from repro.trace.events import READ, WRITE, TraceEvent
+from repro.trace.interning import WRITE_CODE, positions
 from repro.trace.trace import _uid_order
 
 
@@ -72,25 +73,16 @@ class WriteTimeline:
             core = trace  # already a ColumnarTrace
         if core is not None:
             start = perf_counter()
-            if kernels.use_numpy():
-                from repro.kernels import benign_np
-
-                writes = benign_np.collect_writes(core)
-            else:
-                from repro.trace.interning import WRITE_CODE
-
-                addr_name = core.tables.addrs.name
-                for column in core.columns.values():
-                    kinds = column.kind
-                    addr_ids = column.addr_id
-                    ts = column.t
-                    values = column.value
-                    uids = column.uids
-                    for i in range(len(kinds)):
-                        if kinds[i] == WRITE_CODE:
-                            writes.setdefault(
-                                addr_name(addr_ids[i]), []
-                            ).append((ts[i], _uid_order(uids[i]), values[i]))
+            addr_name = core.tables.addrs.name
+            for column in core.columns.values():
+                addr_ids = column.addr_id
+                ts = column.t
+                values = column.value
+                uids = column.uids
+                for i in positions(column.kind, WRITE_CODE):
+                    writes.setdefault(addr_name(addr_ids[i]), []).append(
+                        (ts[i], _uid_order(uids[i]), values[i])
+                    )
             kernels.record("timeline_collect", perf_counter() - start)
         else:
             for event in trace.iter_events():

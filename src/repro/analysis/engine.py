@@ -13,7 +13,7 @@ walk over the interned columnar core (:mod:`repro.trace.interning`):
 * Eq. 1 anchors fall out of the walk indices for free.
 
 The walk advances one thread by one columnar chunk
-(:func:`_walk_chunk_py` and its numpy twin), and :class:`ScanFold`
+(:func:`_walk_chunk`), and :class:`ScanFold`
 carries everything it needs between chunks.  Every scan is that one
 fold: an in-memory core is folded as one whole-column chunk per thread
 (:func:`scan_trace`), a segment file segment by segment
@@ -52,6 +52,7 @@ from repro.trace.interning import (
     ColumnarTrace,
     InternTables,
     LazyEvents,
+    positions,
 )
 from repro.trace.segments import SegmentChunk
 
@@ -152,13 +153,7 @@ class ScanFold:
         self.segments = 0
 
     def add(self, chunks: Iterable[SegmentChunk]) -> None:
-        """Fold one segment: walk each chunk on top of its thread's state,
-        with the active kernel backend (:func:`_walk_chunk_py` or its
-        byte-equivalent numpy twin ``kernels.scan_np.walk_chunk``)."""
-        if kernels.use_numpy():
-            from repro.kernels.scan_np import walk_chunk
-        else:
-            walk_chunk = _walk_chunk_py
+        """Fold one segment: walk each chunk on top of its thread's state."""
         scan = self.scan
         lock_name = scan.tables.locks.name
         views = self.views
@@ -166,7 +161,7 @@ class ScanFold:
             tid = chunk.tid
             scan.events += len(chunk.column.kind)
             start = perf_counter()
-            walk_chunk(tid, chunk.column, chunk.start, self.states[tid],
+            _walk_chunk(tid, chunk.column, chunk.start, self.states[tid],
                        scan, self.first_toucher, lock_name,
                        None if views is None else views[tid])
             kernels.record("scan", perf_counter() - start)
@@ -245,11 +240,13 @@ class ScanFold:
         telemetry.count("analyze.segments_resumed", segments_done)
 
 
-def _walk_chunk_py(tid, column, base, st, scan, first_toucher, lock_name,
-                   view) -> None:
+def _walk_chunk(tid, column, base, st, scan, first_toucher, lock_name,
+                view) -> None:
     """Advance one thread's scan by one columnar chunk: event ``i`` of
     ``column`` is event ``base + i`` of the thread, ``st`` its carried
-    state and ``view`` its whole-thread view or ``None``."""
+    state and ``view`` its whole-thread view or ``None``.  Only memory
+    and lock events move the scan, so the walk visits just their
+    positions."""
     kinds = column.kind
     n = len(kinds)
     if not n:
@@ -270,7 +267,9 @@ def _walk_chunk_py(tid, column, base, st, scan, first_toucher, lock_name,
     read_masks = st.read_masks
     write_masks = st.write_masks
 
-    for i, kind in enumerate(kinds):
+    for i in positions(kinds, READ_CODE, WRITE_CODE, ACQUIRE_CODE,
+                       RELEASE_CODE):
+        kind = kinds[i]
         if kind == READ_CODE or kind == WRITE_CODE:
             aid = addr_ids[i]
             if first_toucher.setdefault(aid, tid_id) != tid_id:

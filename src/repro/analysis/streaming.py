@@ -40,7 +40,7 @@ from repro.analysis.engine import scan_segments
 from repro.analysis.pairs import PairAnalysis, iter_candidate_pairs
 from repro.analysis.sections import CriticalSection
 from repro.analysis.ulcp import BENIGN, TLCP, UlcpPair
-from repro.trace.interning import READ_CODE, WRITE_CODE
+from repro.trace.interning import READ_CODE, WRITE_CODE, positions
 from repro.trace.segments import open_segmented
 from repro.trace.trace import _uid_order
 
@@ -191,13 +191,6 @@ def _collect_benign_evidence(
     active: Dict[str, List[Tuple[int, int, str]]] = {
         tid: [] for tid in spans_by_tid
     }
-    vectorized = kernels.use_numpy()
-    lut = None
-    if vectorized:
-        from repro.kernels import benign_np
-
-        lut = benign_np.wanted_lut(wanted_mask, len(scan.tables.addrs))
-
     t0 = perf_counter()
     with open_segmented(path) as reader:
         for segment in reader.segments():
@@ -218,14 +211,10 @@ def _collect_benign_evidence(
                         pos += 1
                     cursor[tid] = pos
                     live[:] = [s for s in live if s[1] > base]
-                if vectorized:
-                    hits = benign_np.evidence_hits(column, lut)
-                else:
-                    hits = [
-                        i for i in range(n)
-                        if (kinds[i] == READ_CODE or kinds[i] == WRITE_CODE)
-                        and (wanted_mask >> addr_ids[i]) & 1
-                    ]
+                hits = [
+                    i for i in positions(kinds, READ_CODE, WRITE_CODE)
+                    if (wanted_mask >> addr_ids[i]) & 1
+                ]
                 for i in hits:
                     aid = addr_ids[i]
                     if kinds[i] == WRITE_CODE:

@@ -17,7 +17,9 @@ the chosen synchronization mode (DLS END-flags or full locksets).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from time import perf_counter
 from typing import Dict, List, Optional, Set
 
@@ -26,7 +28,16 @@ from repro.analysis.pairs import PairAnalysis, analyze_pairs
 from repro.analysis.resync import ResyncPlan, build_resync_plan
 from repro.analysis.sections import CriticalSection
 from repro.analysis.topology import ORDER, Topology, build_topology
-from repro.trace.events import ACQUIRE, CS_ENTER, CS_EXIT, RELEASE, TraceEvent
+from repro.trace.interning import (
+    ACQUIRE_CODE,
+    CS_ENTER_CODE,
+    CS_EXIT_CODE,
+    FLAG_SPIN,
+    RELEASE_CODE,
+    ColumnarThread,
+    ColumnarTrace,
+    positions,
+)
 from repro.trace.trace import Trace, TraceMeta
 from repro.trace.validate import validate
 
@@ -126,81 +137,118 @@ def _reserialize_unselected(
 
 def _rewrite(
     trace: Trace, sections: List[CriticalSection], plan: ResyncPlan
-) -> Trace:
-    """Produce the marker-based ULCP-free trace.
+) -> ColumnarTrace:
+    """Produce the marker-based ULCP-free trace on the interned columns.
 
-    Backend-dispatched: under the numpy backend the rewrite runs on the
-    interned columns (:mod:`repro.kernels.rewrite_np`) and returns a
-    :class:`~repro.trace.interning.ColumnarTrace` — read-compatible with
-    :class:`Trace` and serializing to identical bytes.
+    No event object is built: per thread, the lock events come from one
+    :func:`~repro.trace.interning.positions` scan, removed sections'
+    lock events are dropped by copying the runs of survivors between
+    them by slice, and the surviving lock events are retyped in place
+    on the copy.  The result is a
+    :class:`~repro.trace.interning.ColumnarTrace` sharing the source
+    core's intern tables — read-compatible with :class:`Trace`, and
+    serializing to the bytes the event-by-event rewrite would emit.
     """
     start = perf_counter()
-    if kernels.use_numpy() and hasattr(trace, "columnar"):
-        from repro.kernels import rewrite_np
-
-        result = rewrite_np.rewrite(trace.columnar(), sections, plan)
-        kernels.record("rewrite", perf_counter() - start)
-        return result
-    result = _rewrite_py(trace, sections, plan)
-    kernels.record("rewrite", perf_counter() - start)
-    return result
-
-
-def _rewrite_py(
-    trace: Trace, sections: List[CriticalSection], plan: ResyncPlan
-) -> Trace:
+    core = trace.columnar()
     release_to_cs: Dict[str, CriticalSection] = {
         cs.release.uid: cs for cs in sections
     }
     acquire_to_cs: Dict[str, CriticalSection] = {cs.uid: cs for cs in sections}
 
-    meta = trace.meta
-    new_trace = Trace(
-        TraceMeta(
-            name=f"{meta.name}+ulcpfree" if meta.name else "ulcpfree",
-            seed=meta.seed,
-            num_cores=meta.num_cores,
-            lock_cost=meta.lock_cost,
-            mem_cost=meta.mem_cost,
-            params={**meta.params, "transformed": True},
-        )
+    meta = core.meta
+    new_meta = TraceMeta(
+        name=f"{meta.name}+ulcpfree" if meta.name else "ulcpfree",
+        seed=meta.seed,
+        num_cores=meta.num_cores,
+        lock_cost=meta.lock_cost,
+        mem_cost=meta.mem_cost,
+        params={**meta.params, "transformed": True},
     )
-    new_trace.side = trace.side  # selective-recording deltas carry over
-    for tid, events in trace.threads.items():
-        new_trace.add_thread(tid)
-        out = new_trace.threads[tid]
-        for event in events:
-            if event.kind == ACQUIRE:
-                cs = acquire_to_cs[event.uid]
-                if cs.uid in plan.removed:
-                    continue
-                out.append(
-                    TraceEvent(
-                        uid=event.uid,
-                        tid=tid,
-                        kind=CS_ENTER,
-                        t=event.t,
-                        lock=event.lock,
-                        token=cs.uid,
-                        site=event.site,
-                        spin=event.spin,
-                    )
-                )
-            elif event.kind == RELEASE:
-                cs = release_to_cs.get(event.uid)
-                if cs is None or cs.uid in plan.removed:
-                    continue
-                out.append(
-                    TraceEvent(
-                        uid=event.uid,
-                        tid=tid,
-                        kind=CS_EXIT,
-                        t=event.t,
-                        lock=event.lock,
-                        token=cs.uid,
-                        site=event.site,
-                    )
-                )
-            else:
-                out.append(event)
-    return new_trace
+    # selective-recording deltas carry over; the schedule does not
+    out = ColumnarTrace(new_meta, core.side, {}, tables=core.tables)
+    for tid, column in core.columns.items():
+        out.columns[tid] = _rewrite_column(
+            column, acquire_to_cs, release_to_cs, plan.removed
+        )
+    kernels.record("rewrite", perf_counter() - start)
+    return out
+
+
+#: the dense columns, copied run by run
+_ARRAYS = ("kind", "t", "duration", "t_request", "value", "lock_id",
+           "addr_id", "flags")
+
+
+def _rewrite_column(
+    column: ColumnarThread,
+    acquire_to_cs: Dict[str, CriticalSection],
+    release_to_cs: Dict[str, CriticalSection],
+    removed: Set[str],
+) -> ColumnarThread:
+    new = ColumnarThread(column.tid, column.tid_id, column.tables)
+    n = len(column)
+    if not n:
+        return new
+    kind = column.kind
+    uids = column.uids
+    # survivors' new positions: only lock events drop, so a survivor
+    # moves down by the number of drops before it
+    enters: List[int] = []
+    exits: List[int] = []
+    tokens: Dict[int, str] = {}
+    drop: List[int] = []
+    for i in positions(kind, ACQUIRE_CODE, RELEASE_CODE):
+        if kind[i] == ACQUIRE_CODE:
+            cs = acquire_to_cs[uids[i]]
+            if cs.uid in removed:
+                drop.append(i)
+                continue
+            enters.append(i - len(drop))
+        else:
+            cs = release_to_cs.get(uids[i])
+            if cs is None or cs.uid in removed:
+                drop.append(i)
+                continue
+            exits.append(i - len(drop))
+        tokens[i - len(drop)] = cs.uid
+
+    # copy the runs of survivors between dropped positions: byte slices
+    # of the dense columns and a mask over the object lists, so the copy
+    # allocates no object the cyclic GC tracks
+    starts = [0] + [d + 1 for d in drop]
+    ends = drop + [n]
+    for name in _ARRAYS:
+        src = getattr(column, name)
+        size = src.itemsize
+        raw = src.tobytes()
+        getattr(new, name).frombytes(b"".join([
+            raw[a * size:b * size] for a, b in zip(starts, ends)
+        ]))
+    keep = bytearray(b"\x01") * n
+    for d in drop:
+        keep[d] = 0
+    new.uids = list(compress(column.uids, keep))
+    new.sites = list(compress(column.sites, keep))
+
+    # retype the surviving lock events, resetting their payload fields
+    # as a freshly built CS_ENTER/CS_EXIT event would have them
+    for code, at, flag_mask in ((CS_ENTER_CODE, enters, FLAG_SPIN),
+                                (CS_EXIT_CODE, exits, 0)):
+        for p in at:
+            new.kind[p] = code
+            new.duration[p] = new.t_request[p] = new.value[p] = 0
+            new.addr_id[p] = -1
+            new.flags[p] &= flag_mask
+
+    # sparse payloads: survivors are re-indexed; lock events (dropped or
+    # retyped) shed theirs, and the markers carry only the section uid
+    for attr in ("ops", "tokens", "reasons", "woken"):
+        old = getattr(column, attr)
+        if old:
+            setattr(new, attr, {
+                p - bisect_left(drop, p): v for p, v in old.items()
+                if kind[p] != ACQUIRE_CODE and kind[p] != RELEASE_CODE
+            })
+    new.tokens.update(tokens)
+    return new

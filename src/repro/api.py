@@ -425,8 +425,8 @@ def transform(
     path still holds its decoded core, that core — and the scan memoized
     on it — is reused.
 
-    A transformed trace the numpy rewrite produced (and, with
-    ``full=True``, a ``result.original`` loaded by path) is returned as
+    The transformed trace (and, with ``full=True``, a
+    ``result.original`` loaded by path) is returned as
     a :class:`Trace` that holds its columnar core: ``len()``,
     ``end_time``, ``thread_ids`` and ``count`` answer from the columns,
     and its events are built on the first read of ``threads``.  A
@@ -451,10 +451,9 @@ def transform(
         ):
             options["analysis"] = None
         result = _transform_trace(source, **options)
-    # the columnar route and the numpy rewrite yield ColumnarTraces; the
-    # facade returns Traces over them
-    if not isinstance(result.trace, Trace):
-        result.trace = result.trace.to_trace()
+    # the rewrite (and the columnar route's original) are ColumnarTraces;
+    # the facade returns Traces over them
+    result.trace = result.trace.to_trace()
     if full and not isinstance(result.original, Trace):
         result.original = result.original.to_trace()
     return result if full else result.trace

@@ -22,10 +22,10 @@ Three entry points share one fold:
 
 **Determinism contract.**  A snapshot is a pure function of the trace
 prefix folded so far: byte-identical (via :func:`snapshot_dumps`) across
-runs, across poll timings, across kernel backends (numpy vs pure), and
-across watch-vs-batch.  The terminal snapshot embeds the exact
-``repro analyze`` result object, so ``repro watch`` and
-``repro analyze --format json`` agree byte-for-byte on a finished trace.
+runs, across poll timings, and across watch-vs-batch.  The terminal
+snapshot embeds the exact ``repro analyze`` result object, so
+``repro watch`` and ``repro analyze --format json`` agree byte-for-byte
+on a finished trace.
 """
 
 from repro.observe.fold import (

@@ -8,9 +8,7 @@ poll loop, a recorder-side ``on_segment`` hook, or
 :func:`run_with_progress`'s ``scan_segments`` loop).  After every
 folded segment it can emit a **snapshot**: a versioned,
 JSON-serializable progress record whose bytes depend only on the trace
-prefix folded so far — never on wall-clock time, poll batching, or the
-kernel backend (numpy and pure python walks are byte-equivalent by
-construction).
+prefix folded so far — never on wall-clock time or poll batching.
 
 Snapshot semantics
 ------------------
@@ -68,7 +66,7 @@ def snapshot_dumps(snapshot: dict) -> str:
 
     This is the byte form the determinism contract is stated over: for a
     fixed trace prefix, ``repro watch --format json`` emits exactly this
-    line sequence on every run, under either kernel backend.
+    line sequence on every run.
     """
     import json
 

@@ -50,7 +50,6 @@ class ProfileReport:
     pairs: int = 0
     analysis: Optional[PairAnalysis] = None
     result: Optional[TransformResult] = None
-    backend: str = ""
     kernels: dict = field(default_factory=dict)
 
     @property
@@ -76,8 +75,6 @@ class ProfileReport:
                 "disjoint-write={0.disjoint_write} benign={0.benign} "
                 "tlcp={0.tlcp}".format(breakdown)
             )
-        if self.backend:
-            lines.append(f"kernel backend: {self.backend}")
         for name, entry in sorted(self.kernels.items()):
             lines.append(
                 f"  kernel {name:<18} {entry['seconds'] * 1000.0:9.2f} ms"
@@ -98,7 +95,7 @@ def profile_pipeline(
     if (trace is None) == (workload is None):
         raise ValueError("profile_pipeline needs a trace OR a workload")
 
-    report = ProfileReport(backend=kernels.backend())
+    report = ProfileReport()
     kernels.reset_timings()
 
     def timed(name: str, fn, detail: str = ""):

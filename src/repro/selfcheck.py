@@ -149,28 +149,4 @@ def run_selfcheck(
         f"original {replay.end_time}, free {free.end_time}",
     )
 
-    from repro import kernels
-
-    if kernels.HAVE_NUMPY:
-        # the vectorized kernels must be invisible in the output: the
-        # same trace transformed under both backends (fresh clones, so
-        # neither coasts on the other's scan memo) serializes identically
-        active = kernels.backend()
-        try:
-            kernels.set_backend("numpy")
-            vectorized = transform(serialize.loads(serialize.dumps(trace)))
-            kernels.set_backend("python")
-            pure = transform(serialize.loads(serialize.dumps(trace)))
-        finally:
-            kernels.set_backend(active)
-        report.add(
-            "kernel backends agree",
-            serialize.dumps(vectorized.trace) == serialize.dumps(pure.trace),
-            f"active backend: {active}",
-        )
-    else:
-        report.add(
-            "kernel backends agree", True,
-            "python only (numpy unavailable)",
-        )
     return report

@@ -33,6 +33,13 @@ artifact file's size and :data:`RECORD_OVERHEAD`.  Evicting a job
 unlinks its artifact file, unless a reader holds the job (see
 :meth:`JobManager.submit`), in which case the last release does.
 
+Uploaded traces spooled to disk are charged to the same budget
+(:meth:`JobManager.pin_upload`): an upload is pinned while a request
+handles it or a queued or running job computes on it, and unpinned
+uploads are evicted FIFO — before any retained job is.  A finished job
+never reads its upload again (its answer is frozen), so retention does
+not pin it.
+
 Determinism note: replay-based analysis is deterministic per content
 key, so handing one job's result to many tenants is safe — the dedup
 can never leak one request's data into a different request's answer.
@@ -54,6 +61,7 @@ from typing import Callable, Optional, Tuple, Union
 from repro import log, telemetry
 from repro.runner.pool import ExecPolicy, TaskFailure, parallel_map
 from repro.serve import protocol
+from repro.trace.segments import index_path
 
 __all__ = ["Job", "JobResult", "Outcome", "JobManager", "RECORD_OVERHEAD"]
 
@@ -130,7 +138,7 @@ class Job:
     """
 
     __slots__ = ("id", "key", "kind", "tenant", "seq", "result", "blob",
-                 "holds", "progress", "_cond")
+                 "holds", "progress", "upload", "_cond")
 
     def __init__(self, job_id: str, key: str, kind: str, tenant: str, seq: int):
         self.id = job_id
@@ -149,6 +157,8 @@ class Job:
         #: full sequence from the start, so a watcher attaching late still
         #: sees the deterministic whole sequence
         self.progress: Union[list, tuple] = []
+        #: the spooled upload this job computes on, if any
+        self.upload: Optional[Path] = None
         self._cond: Optional[threading.Condition] = threading.Condition()
 
     @property
@@ -282,6 +292,9 @@ class JobManager:
         self._running: dict = {}          # key -> Job
         self._finished: OrderedDict = OrderedDict()  # key -> Job, FIFO
         self._retained = 0                # bytes charged to _finished
+        self._uploads: OrderedDict = OrderedDict()  # path -> bytes, FIFO
+        self._pins: dict = {}             # upload path -> pin count
+        self._spooled = 0                 # bytes charged to _uploads
         self._by_id: dict = {}            # job id -> Job
         self._seq = itertools.count()
         self._pool = ThreadPoolExecutor(
@@ -300,6 +313,7 @@ class JobManager:
         *,
         tenant: str = "",
         hold: bool = False,
+        upload: Optional[Path] = None,
     ) -> Tuple[Job, str]:
         """Attach to (or start) the job for ``key``.
 
@@ -311,6 +325,9 @@ class JobManager:
         artifact: until the matching :meth:`release`, the artifact bytes
         of a job finishing meanwhile stay in memory (:attr:`Job.blob`)
         and eviction leaves the artifact file in place.
+
+        ``upload`` is the pinned spool file the computation reads; a job
+        started here pins it until the job finishes.
         """
         with self._lock:
             job = self._running.get(key)
@@ -327,6 +344,9 @@ class JobManager:
                               tenant, next(self._seq))
                     self._running[key] = job
                     self._by_id[job.id] = job
+                    if upload is not None:
+                        job.upload = upload
+                        self._pins[upload] += 1
                     telemetry.count("serve.jobs")
                     self.computed += 1
                     dedup = "miss"
@@ -391,12 +411,50 @@ class JobManager:
             self._running.pop(job.key, None)
             self._finished[job.key] = job
             self._retained += _charge(job)
-            while self._retained > self.keep_bytes and self._finished:
-                _, evicted = self._finished.popitem(last=False)
-                self._retained -= _charge(evicted)
-                self._by_id.pop(evicted.id, None)
-                if not evicted.holds:
-                    self._unlink(evicted)
+            if job.upload is not None:
+                self._pins[job.upload] -= 1
+            self._trim()
+
+    def pin_upload(self, path: Path, nbytes: int) -> None:
+        """Register (or re-pin) a spooled upload of ``nbytes`` bytes.
+
+        A new upload is charged its size and :data:`RECORD_OVERHEAD`
+        (which covers its sidecar index).  Each pin is ended by one
+        :meth:`unpin_upload`; a job submitted with the upload holds its
+        own pin.
+        """
+        with self._lock:
+            if path not in self._uploads:
+                self._uploads[path] = nbytes + RECORD_OVERHEAD
+                self._spooled += nbytes + RECORD_OVERHEAD
+                self._pins[path] = 0
+            self._pins[path] += 1
+
+    def unpin_upload(self, path: Path) -> None:
+        """End one :meth:`pin_upload` pin; the budget may then evict it."""
+        with self._lock:
+            self._pins[path] -= 1
+            self._trim()
+
+    def _trim(self) -> None:
+        """Evict until the retained bytes fit the budget: unpinned
+        uploads first, then finished jobs, each oldest first (caller
+        holds the lock)."""
+        while self._retained + self._spooled > self.keep_bytes:
+            path = next((p for p in self._uploads if not self._pins[p]), None)
+            if path is not None:
+                self._spooled -= self._uploads.pop(path)
+                del self._pins[path]
+                path.unlink(missing_ok=True)
+                index_path(path).unlink(missing_ok=True)
+                continue
+            if not self._finished:
+                return
+            _, evicted = self._finished.popitem(last=False)
+            self._retained -= _charge(evicted)
+            self._by_id.pop(evicted.id, None)
+            if not evicted.holds:
+                self._unlink(evicted)
 
     @staticmethod
     def _unlink(job: Job) -> None:

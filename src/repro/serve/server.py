@@ -609,26 +609,37 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             source = {"workload": request["workload"]}
             key_params = {"workload": request["workload"]}
+            path = None
         else:
             if not body:
                 raise RequestError("empty trace upload")
             request = self._query_request(endpoint, parsed.query)
             path = _spool_trace(self.server, body)
-            source = {"path": str(path)}
-            key_params = {"trace": _trace_key(path, body)}
-        key = cache_key(
-            f"serve.{endpoint}",
-            options=request["options"] or {},
-            format=request["format"],
-            **key_params,
-        )
-        compute = _COMPUTE_BUILDERS[endpoint](self.server, source, request)
-        sync = request["mode"] != "async"
         manager = self.server.manager
-        job, dedup = manager.submit(
-            endpoint, key, self._cached(endpoint, key, compute), tenant=tenant,
-            hold=sync,
-        )
+        sync = request["mode"] != "async"
+        if path is not None:
+            # pinned until submitted: the budget may evict it meanwhile
+            manager.pin_upload(path, len(body))
+        try:
+            if path is not None:
+                if not path.exists():  # evicted before the pin
+                    _spool_trace(self.server, body)
+                source = {"path": str(path)}
+                key_params = {"trace": _trace_key(path, body)}
+            key = cache_key(
+                f"serve.{endpoint}",
+                options=request["options"] or {},
+                format=request["format"],
+                **key_params,
+            )
+            compute = _COMPUTE_BUILDERS[endpoint](self.server, source, request)
+            job, dedup = manager.submit(
+                endpoint, key, self._cached(endpoint, key, compute),
+                tenant=tenant, hold=sync, upload=path,
+            )
+        finally:
+            if path is not None:
+                manager.unpin_upload(path)
         self.job_id = job.id
         headers = {
             "X-Repro-Job": job.id,

@@ -61,6 +61,7 @@ from repro.trace.interning import (
     THREAD_START_CODE,
     WAIT_CODE,
     WRITE_CODE,
+    positions,
 )
 from repro.trace.segments import shared_core
 
@@ -94,7 +95,7 @@ def _holder_maps(trace) -> Dict[str, str]:
     core = trace.columnar()
     for tid, column in core.columns.items():
         uids = column.uids
-        for i in _acquire_positions(column):
+        for i in positions(column.kind, ACQUIRE_CODE):
             uid_tid[uids[i]] = tid
     holder: Dict[str, str] = {}
     for uids in trace.lock_schedule.values():
@@ -177,16 +178,6 @@ class _LaneState:
         self.last_t = 0
 
 
-def _acquire_positions(column) -> List[int]:
-    """Positions of ACQUIRE events in one column (backend-dispatched)."""
-    if kernels.use_numpy():
-        from repro.kernels import timeline_np
-
-        return timeline_np.acquire_positions(column)
-    kind = column.kind
-    return [i for i in range(len(kind)) if kind[i] == ACQUIRE_CODE]
-
-
 def _walk_column(
     tid: str,
     column,
@@ -203,35 +194,8 @@ def _walk_column(
     state).  Lock-wait holders are intentionally left blank here —
     :func:`_finish_lane` patches them in before the sort, because in a
     segment stream the holder's own acquire may not have been walked yet.
-
-    Backend-dispatched: the numpy twin bulk-extracts the dense span
-    kinds and sparse-walks the stateful ones; raw tuples are totally
-    ordered and sorted in :func:`_finish_lane`, so the lanes come out
-    identical.
     """
     start = perf_counter()
-    if kernels.use_numpy():
-        from repro.kernels import timeline_np
-
-        timeline_np.walk_column(
-            tid, column, st, timeline, kinds_get, lock_cost, mem_cost,
-            (_C_COMPUTE, _C_CS, _C_LOCK_WAIT, _C_BLOCKED, _C_OVERHEAD),
-        )
-    else:
-        _walk_column_py(tid, column, st, timeline, kinds_get, lock_cost,
-                        mem_cost)
-    kernels.record("timeline_walk", perf_counter() - start)
-
-
-def _walk_column_py(
-    tid: str,
-    column,
-    st: _LaneState,
-    timeline: Timeline,
-    kinds_get,
-    lock_cost: int,
-    mem_cost: int,
-) -> None:
     kind = column.kind
     t = column.t
     duration = column.duration
@@ -241,20 +205,30 @@ def _walk_column_py(
     uids = column.uids
     tokens = column.tokens
     lock_name = column.tables.locks.name
-    n = len(kind)
-    add = st.raw.append
+    raw = st.raw
+    if len(t):
+        st.last_t = max(st.last_t, max(t))
+    # the dense span kinds in bulk: _finish_lane sorts the raw spans, and
+    # tuples are totally ordered, so their append order is free
+    raw.extend([
+        (ti - d, ti, _C_COMPUTE, "", "", "", "", False, "")
+        for code, ti, d in zip(kind, t, duration)
+        if code == COMPUTE_CODE and d > 0
+    ])
+    if mem_cost:
+        raw.extend([
+            (t[i], t[i] + mem_cost, _C_OVERHEAD, "", "", "", "", False, "")
+            for i in positions(kind, READ_CODE, WRITE_CODE)
+        ])
+    # the stateful kinds, in event order
+    add = raw.append
     open_cs = st.open_cs
-    last_t = st.last_t
-    for i in range(n):
+    for i in positions(kind, ACQUIRE_CODE, RELEASE_CODE, WAIT_CODE,
+                       SLEEP_CODE, CS_ENTER_CODE, CS_EXIT_CODE,
+                       THREAD_START_CODE, THREAD_END_CODE):
         code = kind[i]
         ti = t[i]
-        if ti > last_t:
-            last_t = ti
-        if code == COMPUTE_CODE:
-            if duration[i] > 0:
-                add((ti - duration[i], ti, _C_COMPUTE,
-                     "", "", "", "", False, ""))
-        elif code == ACQUIRE_CODE:
+        if code == ACQUIRE_CODE:
             uid = uids[i]
             name = lock_name(lock_id[i]) if lock_id[i] >= 0 else ""
             if ti > t_request[i]:
@@ -276,11 +250,7 @@ def _walk_column_py(
                 name = lock_name(lock_id[i]) if lock_id[i] >= 0 else ""
                 add((ti, ti + lock_cost, _C_OVERHEAD,
                      name, "", "", "", False, ""))
-        elif code in (READ_CODE, WRITE_CODE):
-            if mem_cost:
-                add((ti, ti + mem_cost, _C_OVERHEAD,
-                     "", "", "", "", False, ""))
-        elif code in (WAIT_CODE, SLEEP_CODE):
+        elif code == WAIT_CODE or code == SLEEP_CODE:
             if duration[i] > 0:
                 add((ti - duration[i], ti, _C_BLOCKED,
                      "", "", "", "", False, column.reasons.get(i, "")))
@@ -297,9 +267,9 @@ def _walk_column_py(
                      "", False, "transformed"))
         elif code == THREAD_START_CODE:
             timeline.thread_start[tid] = ti
-        elif code == THREAD_END_CODE:
+        else:
             timeline.thread_end[tid] = ti
-    st.last_t = last_t
+    kernels.record("timeline_walk", perf_counter() - start)
 
 
 def _finish_lane(
@@ -414,7 +384,7 @@ def build_timeline_segments(reader, *, analysis=None, merge: bool = True,
         for chunk in segment.chunks:
             column = chunk.column
             uids = column.uids
-            for i in _acquire_positions(column):
+            for i in positions(column.kind, ACQUIRE_CODE):
                 acquire_tid[uids[i]] = chunk.tid
             _walk_column(chunk.tid, column, states[chunk.tid], timeline,
                          kinds_get, lock_cost, mem_cost)

@@ -32,8 +32,10 @@ A plain :class:`Trace` builds (and memoizes) its columnar core via
 from __future__ import annotations
 
 import gc
+import re
 from array import array
 from collections.abc import Sequence
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional
 
 from repro.trace.events import (
@@ -331,6 +333,23 @@ def materialize(column: ColumnarThread) -> List[TraceEvent]:
     for i, woken in column.woken.items():
         events[i].woken = list(woken)
     return events
+
+
+@lru_cache(maxsize=None)
+def _codes_pattern(codes: tuple) -> "re.Pattern":
+    return re.compile(b"[" + b"".join(re.escape(bytes([c])) for c in codes)
+                      + b"]")
+
+
+def positions(kind: array, *codes: int) -> List[int]:
+    """Ascending positions of a kind column whose code is one of ``codes``.
+
+    One ``re.finditer`` over the column's bytes (each code is one byte),
+    so the scan itself runs in C: the walks that touch a few sparse
+    kinds (lock events, waits, writes) find them without a Python loop
+    over every slot.
+    """
+    return [m.start() for m in _codes_pattern(codes).finditer(kind.tobytes())]
 
 
 class LazyEvents(Sequence):

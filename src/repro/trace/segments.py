@@ -1427,8 +1427,8 @@ def load_segmented_columnar(path: Union[str, Path]) -> ColumnarTrace:
     The chunks of a segment stream already *are* interned columns over
     the (delta-merged) global tables, so assembly is per-thread array
     concatenation — no event object is ever built.  This is the input
-    path for whole-trace analysis at streaming scale: the engine and the
-    vectorized kernels consume the columns directly, and downstream
+    path for whole-trace analysis at streaming scale: the engine, the
+    rewrite and validation consume the columns directly, and downstream
     events materialize lazily only where something touches them.
 
     Decoded cores are shared: while any result still references the

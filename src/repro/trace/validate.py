@@ -6,17 +6,19 @@ The transformation pipeline validates its output trace before replaying
 it, so a buggy transformation fails loudly instead of producing nonsense
 performance numbers.
 
-Backend note: for a :class:`~repro.trace.interning.ColumnarTrace` under
-the numpy kernel backend, the checks run vectorized over the id columns
-(:mod:`repro.kernels.validate_np`); a thread that trips any fast check
-falls back to the event-object walk below for the exact message list, so
-output is byte-identical either way.
+For a :class:`~repro.trace.interning.ColumnarTrace` the checks read the
+id columns: per thread, a few column checks prove the thread clean (the
+common case — ``transform`` validates every trace it produces), and
+only a thread that trips one falls back to the event walk below, for
+the exact message list in the exact order.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import le
 from time import perf_counter
-from typing import List
+from typing import Dict, List, Set
 
 from repro import kernels
 from repro.errors import TraceError
@@ -27,6 +29,15 @@ from repro.trace.events import (
     THREAD_END,
     THREAD_START,
     WAIT,
+)
+from repro.trace.interning import (
+    ACQUIRE_CODE,
+    POST_CODE,
+    RELEASE_CODE,
+    THREAD_END_CODE,
+    THREAD_START_CODE,
+    WAIT_CODE,
+    positions,
 )
 from repro.trace.trace import Trace
 
@@ -95,10 +106,8 @@ def _schedule_problems(lock_schedule, acquires_by_lock) -> List[str]:
 def problems(trace: Trace) -> List[str]:
     """Return a list of well-formedness violations (empty when clean)."""
     start = perf_counter()
-    if kernels.use_numpy() and hasattr(trace, "columns"):
-        from repro.kernels import validate_np
-
-        issues = validate_np.problems_columnar(trace)
+    if hasattr(trace, "columns"):
+        issues = _columnar_problems(trace)
         kernels.record("validate", perf_counter() - start)
         return issues
 
@@ -119,6 +128,65 @@ def problems(trace: Trace) -> List[str]:
         }
     issues.extend(_schedule_problems(trace.lock_schedule, acquires_by_lock))
     kernels.record("validate", perf_counter() - start)
+    return issues
+
+
+def _column_clean(column, post_tokens) -> bool:
+    """True when :func:`_thread_problems` would report nothing for
+    ``column`` (a columnar event carries its column's tid, so the
+    wrong-thread check cannot fire)."""
+    kind = column.kind
+    n = len(kind)
+    t = column.t
+    if not all(map(le, t, islice(t, 1, None))):
+        return False
+    lock_id = column.lock_id
+    held = set()
+    for i in positions(kind, THREAD_START_CODE, THREAD_END_CODE,
+                       ACQUIRE_CODE, RELEASE_CODE, WAIT_CODE):
+        code = kind[i]
+        if code == ACQUIRE_CODE:
+            if lock_id[i] in held:
+                return False
+            held.add(lock_id[i])
+        elif code == RELEASE_CODE:
+            if lock_id[i] not in held:
+                return False
+            held.discard(lock_id[i])
+        elif code == WAIT_CODE:
+            if column.reasons.get(i, "") == "posted" \
+                    and column.tokens.get(i) not in post_tokens:
+                return False
+        elif i != (0 if code == THREAD_START_CODE else n - 1):
+            return False
+    return not held
+
+
+def _columnar_problems(trace) -> List[str]:
+    columns = trace.columns
+    post_tokens = {
+        column.tokens.get(i)
+        for column in columns.values()
+        for i in positions(column.kind, POST_CODE)
+    }
+    issues: List[str] = []
+    for tid, column in columns.items():
+        if not _column_clean(column, post_tokens):
+            issues.extend(
+                _thread_problems(tid, trace.threads[tid], post_tokens)
+            )
+    if trace.lock_schedule:
+        lock_name = trace.tables.locks.name
+        acquires_by_lock: Dict[str, Set[str]] = {}
+        for column in columns.values():
+            lock_id = column.lock_id
+            uids = column.uids
+            for i in positions(column.kind, ACQUIRE_CODE):
+                lid = lock_id[i]
+                acquires_by_lock.setdefault(
+                    lock_name(lid) if lid >= 0 else "", set()
+                ).add(uids[i])
+        issues.extend(_schedule_problems(trace.lock_schedule, acquires_by_lock))
     return issues
 
 

@@ -14,7 +14,7 @@ from repro.analysis import analyze_pairs, transform
 from repro.analysis.reference import analyze_pairs_reference
 from repro.record import record
 from repro.sim import Acquire, Add, Compute, Read, Release, Store, Write
-from repro.trace import CodeSite, dumps
+from repro.trace import CodeSite, dumps, loads
 from repro.workloads import get_workload
 
 WORKLOADS = ("tunable-contention", "mixed-bag")
@@ -133,31 +133,47 @@ def test_random_programs_equivalent(program_specs):
     assert_equivalent(trace)
 
 
+def _full_output(payload, analyze):
+    """Analysis + transformed bytes on a fresh ``loads`` of ``payload``:
+    the scan and columnar memos live on the trace object, so a shared
+    instance would let one side coast on the other's cached work."""
+    trace = loads(payload)
+    analysis = analyze(trace)
+    result = transform(trace, analysis=analysis)
+    return (
+        pair_kinds(analysis),
+        breakdown_tuple(analysis),
+        section_state(analysis.sections),
+        dumps(result.trace),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(program_set_strategy)
+def test_random_programs_match_reference_after_round_trip(program_specs):
+    programs = [build_program(sections) for sections in program_specs]
+    payload = dumps(record([p() for p in programs]).trace)
+    assert _full_output(payload, analyze_pairs) == _full_output(
+        payload, analyze_pairs_reference
+    )
+
+
 # ------------------------------------- in-memory scan identity/laziness
 
 
-@pytest.mark.parametrize("backend", ("numpy", "python"))
-def test_in_memory_scan_keeps_core_events_lazy(tmp_path, backend):
+def test_in_memory_scan_keeps_core_events_lazy(tmp_path):
     """The whole-core scan is the chunk walk over the core's own views:
     sections hold the views' event objects, bodies stay lazy slices of
     them, no body span is recorded, and only acquire/release events
     materialize."""
-    from repro import kernels
     from repro.analysis.engine import scan_trace
     from repro.trace.segments import load_segmented_columnar, write_segmented
 
-    if backend == "numpy" and not kernels.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
     trace = get_workload("mixed-bag", threads=4, seed=2, scale=0.5).record().trace
     path = tmp_path / "t.seg.jsonl.gz"
     write_segmented(trace, path, segment_events=256)
-    previous = kernels.backend()
-    kernels.set_backend(backend)
-    try:
-        core = load_segmented_columnar(path)  # fresh: nothing materialized
-        scan = scan_trace(core)
-    finally:
-        kernels.set_backend(previous)
+    core = load_segmented_columnar(path)  # fresh: nothing materialized
+    scan = scan_trace(core)
 
     views = core.threads
     assert scan.sections

@@ -1,147 +1,21 @@
-"""Backend parity: numpy kernels == pure Python == reference, byte for byte.
+"""The affinity-sharded single-trace scan and ``runner.affinity``.
 
-The vectorized kernels (:mod:`repro.kernels`) must be invisible in the
-output: for any trace, analysis and transformation under the numpy
-backend equal the pure-Python walk, which in turn equals the retained
-:mod:`repro.analysis.reference` oracle — identical pair kinds,
-breakdowns, section state and serialized transformed traces.
-
-Also covered here: the ``REPRO_NO_NUMPY`` forced-fallback knob, the
-affinity-sharded single-trace scan (``jobs N == jobs 1`` determinism,
-error surfacing, graceful unpinned degradation) and the
-``runner.affinity`` telemetry gauge.
+``jobs N == jobs 1`` determinism, error surfacing, graceful unpinned
+degradation and the ``runner.affinity`` telemetry gauge.
 """
 
 import os
-import subprocess
-import sys
-from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
 
-from repro import kernels
-from repro.analysis import analyze_pairs, transform
-from repro.analysis.reference import analyze_pairs_reference
 from repro.analysis.streaming import analyze_segments
 from repro.errors import TraceError
-from repro.record import record
 from repro.telemetry import Telemetry, use_telemetry
-from repro.trace import dumps, loads
 from repro.trace.segments import SegmentedTraceWriter, write_segmented
 from repro.trace.trace import TraceMeta
 from repro.workloads import get_workload
 
-from tests.analysis.test_engine_equivalence import (
-    breakdown_tuple,
-    build_program,
-    pair_kinds,
-    program_set_strategy,
-    section_state,
-)
-
-requires_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy not installed"
-)
-
-SRC_DIR = Path(__file__).resolve().parents[2] / "src"
-
-
-@contextmanager
-def forced_backend(name):
-    previous = kernels.backend()
-    kernels.set_backend(name)
-    try:
-        yield
-    finally:
-        kernels.set_backend(previous)
-
-
-def _full_output(payload, backend):
-    """Analysis + transformed bytes under one backend, on a fresh trace.
-
-    A fresh ``loads`` per backend matters: the scan and columnar-view
-    memos live on the trace object, and a shared instance would let the
-    second backend coast on the first one's cached work.
-    """
-    with forced_backend(backend):
-        trace = loads(payload)
-        analysis = analyze_pairs(trace)
-        result = transform(trace, analysis=analysis)
-        return (
-            pair_kinds(analysis),
-            breakdown_tuple(analysis),
-            section_state(analysis.sections),
-            dumps(result.trace),
-        )
-
-
-def _reference_output(payload):
-    with forced_backend("python"):
-        trace = loads(payload)
-        analysis = analyze_pairs_reference(trace)
-        result = transform(trace, analysis=analysis)
-        return (
-            pair_kinds(analysis),
-            breakdown_tuple(analysis),
-            section_state(analysis.sections),
-            dumps(result.trace),
-        )
-
-
-# ------------------------------------------------------- backend parity
-
-
-@requires_numpy
-@settings(max_examples=40, deadline=None)
-@given(program_set_strategy)
-def test_random_programs_backend_parity(program_specs):
-    programs = [build_program(sections) for sections in program_specs]
-    payload = dumps(record([p() for p in programs]).trace)
-    vectorized = _full_output(payload, "numpy")
-    pure = _full_output(payload, "python")
-    reference = _reference_output(payload)
-    assert vectorized == pure
-    assert pure == reference
-
-
-@requires_numpy
-@pytest.mark.parametrize("workload", ("tunable-contention", "mixed-bag"))
-def test_workload_backend_parity(workload):
-    trace = get_workload(workload, threads=4, seed=5).record().trace
-    payload = dumps(trace)
-    assert _full_output(payload, "numpy") == _full_output(payload, "python")
-
-
-def test_forced_fallback_env_knob():
-    """REPRO_NO_NUMPY forces the python backend even with numpy installed."""
-    code = (
-        "import repro.kernels as k; "
-        "assert not k.HAVE_NUMPY; "
-        "assert k.backend() == 'python'; "
-        "assert not k.use_numpy(); "
-        "print('ok')"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "REPRO_NO_NUMPY": "1",
-             "PYTHONPATH": str(SRC_DIR)},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-@requires_numpy
-def test_numpy_backend_refused_when_disabled(monkeypatch):
-    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-    with pytest.raises(RuntimeError, match="unavailable"):
-        kernels.set_backend("numpy")
-    assert kernels.set_backend("auto") == "python"
-    kernels.set_backend("auto")  # restore under the real HAVE_NUMPY later
+from tests.analysis.test_engine_equivalence import breakdown_tuple, pair_kinds
 
 
 # --------------------------------------------------- sharded fan-out scan

@@ -1,4 +1,4 @@
-"""``repro watch`` end to end: formats, exit codes, backend identity."""
+"""``repro watch`` end to end: formats, exit codes, run-to-run identity."""
 
 import json
 import os
@@ -76,13 +76,12 @@ class TestWatchCommand:
         assert "segmented" in capsys.readouterr().err
 
 
-class TestBackendIdentity:
-    def _run_watch(self, path, extra_env):
+class TestStreamDeterminism:
+    def _run_watch(self, path):
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        env.update(extra_env)
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "watch", str(path),
              "--format", "json"],
@@ -91,10 +90,9 @@ class TestBackendIdentity:
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
-    def test_no_numpy_stream_is_byte_identical(self, seg_trace):
-        """The snapshot stream must not depend on the kernel backend."""
-        pytest.importorskip("numpy")
-        fast = self._run_watch(seg_trace, {"REPRO_NO_NUMPY": ""})
-        pure = self._run_watch(seg_trace, {"REPRO_NO_NUMPY": "1"})
-        assert fast == pure
-        assert fast.count(b"\n") >= 2
+    def test_stream_is_byte_identical_across_runs(self, seg_trace):
+        """The snapshot stream depends only on the trace, not the run."""
+        first = self._run_watch(seg_trace)
+        second = self._run_watch(seg_trace)
+        assert first == second
+        assert first.count(b"\n") >= 2

@@ -272,6 +272,73 @@ class TestSpool:
         ]
 
 
+    def test_uploads_share_the_retention_budget(self, tmp_path):
+        """Spooled uploads are charged to ``--keep-mb`` with the jobs:
+        the spool stays under the budget, and every retained job still
+        serves its artifact byte for byte."""
+        spool = tmp_path / "spool"
+        server = ReproServer(("127.0.0.1", 0), keep_mb=0.04, spool_dir=spool)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = _connect(server)
+        blobs = {}
+        try:
+            for seed in range(8):
+                trace = api.record("mixed-bag", threads=2, scale=0.3, seed=seed)
+                if seed % 2:
+                    path = tmp_path / f"{seed}.seg.jsonl.gz"
+                    write_segmented(trace, path, segment_events=64)
+                    body = path.read_bytes()
+                else:
+                    out = io.StringIO()
+                    serialize.write_trace(trace, out)
+                    body = out.getvalue().encode("utf-8")
+                status, headers, blob = _call(conn, "POST", "/v1/transform",
+                                              body, "application/octet-stream")
+                assert status == 200
+                blobs[headers["X-Repro-Job"]] = blob
+                on_disk = sum(f.stat().st_size for f in spool.rglob("*")
+                              if f.is_file())
+                assert on_disk <= server.manager.keep_bytes
+            retained = [job_id for job_id in blobs if server.manager.get(job_id)]
+            assert 0 < len(retained) < len(blobs)
+            for job_id in retained:
+                status, _, blob = _call(conn, "GET",
+                                        f"/v1/jobs/{job_id}/artifact")
+                assert status == 200 and blob == blobs[job_id]
+        finally:
+            conn.close()
+            server.shutdown()
+            server.close()
+            thread.join(timeout=5)
+
+    def test_running_job_pins_its_upload(self, tmp_path):
+        manager = JobManager(max_workers=1, keep_mb=0)
+        upload = tmp_path / "up.trace"
+        upload.write_bytes(b"trace")
+        release = threading.Event()
+
+        def compute():
+            release.wait(10)
+            assert upload.read_bytes() == b"trace"
+            return JobResult(envelope={"v": 1, "ok": True, "result": {}})
+
+        try:
+            manager.pin_upload(upload, 5)
+            job, _ = manager.submit("analyze", "k", compute, upload=upload)
+            manager.unpin_upload(upload)  # the request is done with it
+            assert upload.exists()
+            release.set()
+            assert job.wait(10) and job.result.ok
+            # finished, the job no longer pins it: the zero budget
+            # evicts the upload and the job
+            assert not upload.exists()
+            assert manager.get(job.id) is None
+        finally:
+            release.set()
+            manager.shutdown()
+
+
 class TestQuarantine:
     def test_malformed_trace_is_structured_400(self, client):
         status, _, body = client(

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro import api, kernels
+from repro import api
 from repro.errors import TraceError
 from repro.trace import dumps, loads, serialize
 from repro.trace import interning
@@ -249,22 +249,12 @@ class TestTransformColumnarRoute:
         write_segmented(trace, path, segment_events=64)
         return path
 
-    @pytest.mark.parametrize("backend", [
-        "python",
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            not kernels.HAVE_NUMPY, reason="numpy not installed")),
-    ])
-    def test_same_bytes_and_results_as_loaded_trace(self, seg_path, backend):
-        previous = kernels.backend()
-        kernels.set_backend(backend)
-        try:
-            by_path = api.transform(seg_path)
-            loaded = api.transform(serialize.load(seg_path))
-            assert dumps(by_path) == dumps(loaded)
-            full_path = api.transform(seg_path, full=True)
-            full_loaded = api.transform(serialize.load(seg_path), full=True)
-        finally:
-            kernels.set_backend(previous)
+    def test_same_bytes_and_results_as_loaded_trace(self, seg_path):
+        by_path = api.transform(seg_path)
+        loaded = api.transform(serialize.load(seg_path))
+        assert dumps(by_path) == dumps(loaded)
+        full_path = api.transform(seg_path, full=True)
+        full_loaded = api.transform(serialize.load(seg_path), full=True)
         assert type(by_path) is type(loaded)
         assert type(full_path.trace) is type(full_loaded.trace)
         assert type(full_path.original) is type(full_loaded.original)

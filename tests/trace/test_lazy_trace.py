@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro import api, kernels
+from repro import api
 from repro.trace import dumps, loads, serialize
 from repro.trace import interning
 from repro.trace.events import ACQUIRE
@@ -26,28 +26,6 @@ def seg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("lazy") / "t.seg.jsonl.gz"
     write_segmented(trace, path, segment_events=64)
     return path
-
-
-def _use_backend(name):
-    if name == "numpy" and not kernels.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    previous = kernels.backend()
-    kernels.set_backend(name)
-    return previous
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    previous = _use_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
-
-
-@pytest.fixture()
-def numpy_backend():
-    previous = _use_backend("numpy")
-    yield
-    kernels.set_backend(previous)
 
 
 @pytest.fixture()
@@ -64,7 +42,6 @@ def materialize_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.usefixtures("numpy_backend")
 class TestNothingMaterializes:
     def test_transform_builds_no_events(self, seg_path, materialize_calls):
         transformed = api.transform(seg_path)
@@ -120,7 +97,7 @@ class TestNothingMaterializes:
 
 @pytest.mark.parametrize("load", ["transform", "load"])
 @pytest.mark.parametrize("filled", [False, True], ids=["lazy", "filled"])
-def test_copies_keep_every_event(seg_path, backend, load, filled):
+def test_copies_keep_every_event(seg_path, load, filled):
     trace = (api.transform(seg_path) if load == "transform"
              else serialize.load(seg_path))
     if filled:

@@ -161,6 +161,7 @@ def test_random_programs_match_reference_after_round_trip(program_specs):
 # ------------------------------------- in-memory scan identity/laziness
 
 
+@pytest.mark.usefixtures("numpy_env")
 def test_in_memory_scan_keeps_core_events_lazy(tmp_path):
     """The whole-core scan is the chunk walk over the core's own views:
     sections hold the views' event objects, bodies stay lazy slices of

@@ -12,10 +12,15 @@ it cannot fire inside a supervised task.
 
 The ``decodes`` fixture counts full segmented-file decodes, for tests of
 the shared decoded core.
+
+The ``numpy_env`` fixture runs a test twice: ``numpy`` as installed, and
+``python`` with ``import numpy`` made to fail.  The package is pure
+Python, so both runs must give the same results.
 """
 
 import os
 import signal
+import sys
 
 import pytest
 
@@ -66,3 +71,11 @@ def decodes(monkeypatch):
 
     monkeypatch.setattr(SegmentedReader, "segments", counting)
     return calls
+
+
+@pytest.fixture(params=["numpy", "python"])
+def numpy_env(request, monkeypatch):
+    """``python``: any ``import numpy`` during the test raises ImportError."""
+    if request.param == "python":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    return request.param

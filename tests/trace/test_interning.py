@@ -249,6 +249,7 @@ class TestTransformColumnarRoute:
         write_segmented(trace, path, segment_events=64)
         return path
 
+    @pytest.mark.usefixtures("numpy_env")
     def test_same_bytes_and_results_as_loaded_trace(self, seg_path):
         by_path = api.transform(seg_path)
         loaded = api.transform(serialize.load(seg_path))

@@ -97,7 +97,7 @@ class TestNothingMaterializes:
 
 @pytest.mark.parametrize("load", ["transform", "load"])
 @pytest.mark.parametrize("filled", [False, True], ids=["lazy", "filled"])
-def test_copies_keep_every_event(seg_path, load, filled):
+def test_copies_keep_every_event(seg_path, numpy_env, load, filled):
     trace = (api.transform(seg_path) if load == "transform"
              else serialize.load(seg_path))
     if filled:
